@@ -127,15 +127,18 @@ class _Inputs:
         self.file = _load_instance(args.file) if getattr(args, "file", None) else {}
         self.args = args
 
+    def _file_list(self, name: str) -> list[float]:
+        raw = self.file[name]
+        if not isinstance(raw, list):
+            raise CliError(f"instance key {name} must be a list")
+        return [float(v) for v in raw]
+
     def vector(self, name: str, required: bool = True) -> list[float] | None:
         inline = getattr(self.args, name, None)
         if inline is not None:
             return _parse_floats(inline, name)
         if name in self.file:
-            raw = self.file[name]
-            if not isinstance(raw, list):
-                raise CliError(f"instance key {name} must be a list")
-            return [float(v) for v in raw]
+            return self._file_list(name)
         if required:
             raise CliError(f"missing vector {name}: pass --{name} or an instance file")
         return None
@@ -146,7 +149,7 @@ class _Inputs:
         if inline is not None:
             return _parse_floats(inline, flag)
         if name in self.file:
-            return [float(v) for v in self.file[name]]
+            return self._file_list(name)
         if required:
             raise CliError(f"missing {flag}: pass --{flag} or an instance file")
         return None
@@ -184,7 +187,9 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 
 def _grid_spec(args: argparse.Namespace, default: GridSpec) -> GridSpec:
-    steps = getattr(args, "grid", None) or default.steps1
+    steps = getattr(args, "grid", None)
+    if steps is None:
+        steps = default.steps1
     if getattr(args, "range", None):
         lo, hi = _parse_range(args.range)
     else:

@@ -13,6 +13,10 @@ class NegativeEntry(FlexcatError):
     pass
 
 
+class NonFiniteEntry(FlexcatError):
+    pass
+
+
 class BadNormalization(FlexcatError):
     pass
 

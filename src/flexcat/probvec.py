@@ -19,6 +19,7 @@ from .errors import (
     EmptyVector,
     IndexOutOfRange,
     NegativeEntry,
+    NonFiniteEntry,
     NotSorted,
 )
 
@@ -75,15 +76,17 @@ class SchmidtVec(ProbVec):
 def make_prob_vec(raw: Iterable[float]) -> ProbVec:
     """Validate and normalize a raw sequence into a ProbVec.
 
-    Entries strictly below -1e-15 raise NegativeEntry; entries within 1e-15
-    of zero are clamped to exactly 0. Sums within 1e-9 of unity are
-    renormalized to exact unit sum, anything further off raises
-    BadNormalization.
+    NaN or infinite entries raise NonFiniteEntry and entries strictly below
+    -1e-15 raise NegativeEntry; entries within 1e-15 of zero are clamped to
+    exactly 0. Sums within 1e-9 of unity are renormalized to exact unit sum,
+    anything further off raises BadNormalization.
     """
     vals = [float(v) for v in raw]
     if not vals:
         raise EmptyVector("probability vector needs at least one entry")
     for v in vals:
+        if not math.isfinite(v):
+            raise NonFiniteEntry(f"entry {v} is not finite")
         if v < -CLAMP:
             raise NegativeEntry(f"entry {v} is negative")
     vals = [0.0 if abs(v) <= CLAMP else v for v in vals]

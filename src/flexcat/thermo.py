@@ -231,20 +231,28 @@ def dominance_matrix(
 ) -> np.ndarray:
     """Boolean matrix M[i, j] = curve A_i dominates curve B_j everywhere.
 
-    Curves are given as breakpoint arrays from lorenz_breakpoints_batch.
-    A_i is evaluated at B_j's breakpoints through the min over A_i's segment
-    lines, which equals the curve value by concavity.
+    A_i's value at B_j's breakpoints depends on B_j only through its
+    abscissae xb[j], and scan rows share few distinct abscissa rows (the
+    ratio order changes only where two ratios cross). So A is evaluated once
+    per distinct row of xb, each value computed exactly as for a single row,
+    and compared against every member's heights.
     """
     slopes = np.diff(ya, axis=1) / np.diff(xa, axis=1)
     intercepts = ya[:, :-1] - slopes * xa[:, :-1]
-    ma = xa.shape[0]
-    mb = xb.shape[0]
-    npts = xb.shape[1]
-    vals = np.full((ma, mb, npts), np.inf)
+    ux, inverse, counts = np.unique(xb, axis=0, return_inverse=True, return_counts=True)
+    vals = np.full((xa.shape[0], ux.shape[0], ux.shape[1]), np.inf)
     for s in range(slopes.shape[1]):
-        cand = intercepts[:, s, None, None] + slopes[:, s, None, None] * xb[None, :, :]
+        cand = intercepts[:, s, None, None] + slopes[:, s, None, None] * ux[None, :, :]
         np.minimum(vals, cand, out=vals)
-    return np.all(vals >= yb[None, :, :] - CURVE_TOL, axis=2)
+    floor = yb - CURVE_TOL
+    out = np.empty((xa.shape[0], xb.shape[0]), dtype=bool)
+    members = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    for g, cols in enumerate(members):
+        block = np.ones((xa.shape[0], len(cols)), dtype=bool)
+        for k in range(ux.shape[1]):
+            block &= vals[:, g, k, None] >= floor[None, cols, k]
+        out[:, cols] = block
+    return out
 
 
 def dominance_diagonal(

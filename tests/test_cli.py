@@ -215,3 +215,34 @@ def test_reproduce_json_mode(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["all_pass"] is True
     assert all(row["pass"] for row in payload["results"])
+
+
+def test_non_finite_entry_exits_one(capsys):
+    assert run(["vidal", "--x", "nan,0.5,0.5", "--y", "0.5,0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conjecture", "--trials", "5", "--resolution", "0"],
+        ["conjecture", "--trials", "5", "--resolution", "0.6"],
+        ["conjecture", "--trials", "5", "--d", "2"],
+        ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "0"],
+        ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "0"],
+    ],
+)
+def test_bad_search_arguments_exit_one(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_instance_file_rejects_non_list_levels(tmp_path, capsys):
+    inst = tmp_path / "levels.json"
+    inst.write_text(json.dumps({"levels_s": 3, "beta": 1.0}))
+    assert run(["gibbs", "--file", str(inst)]) == 1
+    assert "instance key levels_s must be a list" in capsys.readouterr().err

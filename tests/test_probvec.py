@@ -15,6 +15,7 @@ from flexcat import (
     EmptyVector,
     IndexOutOfRange,
     NegativeEntry,
+    NonFiniteEntry,
     NotSorted,
     ProbVec,
     SchmidtVec,
@@ -51,6 +52,12 @@ def test_make_prob_vec_rejects_empty():
 def test_make_prob_vec_rejects_negative():
     with pytest.raises(NegativeEntry):
         make_prob_vec([1.1, -0.1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_make_prob_vec_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteEntry):
+        make_prob_vec([bad, 0.5, 0.5])
 
 
 def test_make_prob_vec_renormalizes_within_tolerance():

@@ -300,3 +300,8 @@ def test_conjecture_rejects_unsupported_parameters():
         conjecture_search(1, seed=0, k=3)
     with pytest.raises(BadRange):
         conjecture_search(-1, seed=0)
+    with pytest.raises(WrongDimension):
+        conjecture_search(1, seed=0, d=2)
+    for resolution in (0.0, -0.1, 0.6, float("nan")):
+        with pytest.raises(BadRange):
+            conjecture_search(1, seed=0, grid_resolution=resolution)

@@ -25,7 +25,8 @@ from flexcat import (
     uniform,
 )
 from flexcat.errors import FlexcatError
-from flexcat.thermo import dominance_matrix, lorenz_breakpoints_batch
+from flexcat.search import _thermo_rows
+from flexcat.thermo import CURVE_TOL, dominance_matrix, lorenz_breakpoints_batch
 from helpers import (
     BETA,
     LEVELS_C,
@@ -251,6 +252,16 @@ def test_batch_lorenz_matches_scalar():
         assert yb[i] == pytest.approx([pt[1] for pt in curve.breakpoints], abs=1e-12)
 
 
+def _scan_curves(v, cs, gamma):
+    """Breakpoints of the scan rows v ⊗ (c, 1-c) for each c."""
+    return lorenz_breakpoints_batch(_thermo_rows(v, cs), gamma)
+
+
+# c = 0.5 is an exact crossing of every pair of ratios v_i c / γ_i0 and
+# v_i (1 - c) / γ_i1 when the catalyst reference is (0.5, 0.5).
+SCAN_CS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 41), [0.5]]))
+
+
 def test_batch_dominance_matches_curve_geq():
     rng = np.random.default_rng(37)
     d = 5
@@ -267,3 +278,52 @@ def test_batch_dominance_matches_curve_geq():
                 lorenz_curve(make_prob_vec(rows_b[j]), g),
             )
             assert m[i, j] == scalar
+    # scan-shaped rows share abscissa rows, including the tie at c = 0.5
+    gs = gibbs_vector(rng.normal(0, 1, 3), 0.7)
+    gamma = gibbs_tensor(gs, gibbs_vector([0.0, 0.0], 0.7))
+    p = random_prob(rng, 3).as_array()
+    q = random_prob(rng, 3).as_array()
+    xa, ya = _scan_curves(p, SCAN_CS, gamma.as_array())
+    xb, yb = _scan_curves(q, SCAN_CS, gamma.as_array())
+    assert len(np.unique(xb, axis=0)) < len(SCAN_CS)
+    m = dominance_matrix(xa, ya, xb, yb)
+    curves_a = [lorenz_curve(make_prob_vec(r), gamma) for r in _thermo_rows(p, SCAN_CS)]
+    curves_b = [lorenz_curve(make_prob_vec(r), gamma) for r in _thermo_rows(q, SCAN_CS)]
+    for i, curve_a in enumerate(curves_a):
+        for j, curve_b in enumerate(curves_b):
+            assert m[i, j] == curve_geq(curve_a, curve_b)
+
+
+def _dense_dominance(xa, ya, xb, yb):
+    """All-pairs min-of-segment-lines formula evaluated without deduplication."""
+    slopes = np.diff(ya, axis=1) / np.diff(xa, axis=1)
+    intercepts = ya[:, :-1] - slopes * xa[:, :-1]
+    vals = np.full((xa.shape[0], xb.shape[0], xb.shape[1]), np.inf)
+    for s in range(slopes.shape[1]):
+        cand = intercepts[:, s, None, None] + slopes[:, s, None, None] * xb[None, :, :]
+        np.minimum(vals, cand, out=vals)
+    return np.all(vals >= yb[None, :, :] - CURVE_TOL, axis=2)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_dominance_matrix_equals_dense_reference(d):
+    rng = np.random.default_rng(100 + d)
+    levels_s = rng.normal(0, 1, d)
+    for levels_c in ([0.0, 0.0], [0.0, rng.uniform(0.2, 2.0)]):
+        gamma = gibbs_tensor(gibbs_vector(levels_s, 0.9), gibbs_vector(levels_c, 0.9)).as_array()
+        p = random_prob(rng, d).as_array()
+        q = random_prob(rng, d).as_array()
+        a1 = _scan_curves(p, SCAN_CS, gamma)
+        b2 = _scan_curves(q, SCAN_CS[::-1], gamma)
+        assert np.array_equal(dominance_matrix(*a1, *b2), _dense_dominance(*a1, *b2))
+        assert np.array_equal(dominance_matrix(*b2, *a1), _dense_dominance(*b2, *a1))
+    # random rows with all-distinct abscissa rows: every group has one member
+    g = gibbs_vector(levels_s, 0.9).as_array()
+    rows_a = np.array([random_prob(rng, d).as_array() for _ in range(30)])
+    rows_b = np.array([random_prob(rng, d).as_array() for _ in range(40)])
+    xa, ya = lorenz_breakpoints_batch(rows_a, g)
+    xb, yb = lorenz_breakpoints_batch(rows_b, g)
+    distinct = np.unique(xb, axis=0, return_index=True)[1]
+    xb, yb = xb[distinct], yb[distinct]
+    assert len(xb) >= 4
+    assert np.array_equal(dominance_matrix(xa, ya, xb, yb), _dense_dominance(xa, ya, xb, yb))
