@@ -120,6 +120,25 @@ def _load_instance(path: str) -> dict:
     return data
 
 
+# Nesting depth of each instance key: beta is a float, the vectors and
+# levels are float lists, and cycle is a list of float lists.
+_DEPTH = {"beta": 0, "x": 1, "y": 1, "levels_s": 1, "levels_c": 1, "cycle": 2}
+
+
+def _file_value(name: str, raw: object, depth: int):
+    """Instance-file value of the given nesting depth, converted to floats."""
+    if depth == 0:
+        if not isinstance(raw, bool):  # JSON true/false would pass float()
+            try:
+                return float(raw)
+            except (TypeError, ValueError):
+                pass
+        raise CliError(f"instance key {name} holds a non-number: {raw!r}")
+    if not isinstance(raw, list) or (depth > 1 and not all(isinstance(v, list) for v in raw)):
+        raise CliError(f"instance key {name} must be a list" + " of lists" * (depth - 1))
+    return [_file_value(name, v, depth - 1) for v in raw]
+
+
 class _Inputs:
     """Merged view of the instance file and inline flags (inline wins)."""
 
@@ -127,54 +146,20 @@ class _Inputs:
         self.file = _load_instance(args.file) if getattr(args, "file", None) else {}
         self.args = args
 
-    def _file_list(self, name: str) -> list[float]:
-        raw = self.file[name]
-        if not isinstance(raw, list):
-            raise CliError(f"instance key {name} must be a list")
-        return [float(v) for v in raw]
-
-    def vector(self, name: str, required: bool = True) -> list[float] | None:
-        inline = getattr(self.args, name, None)
-        if inline is not None:
-            return _parse_floats(inline, name)
-        if name in self.file:
-            return self._file_list(name)
-        if required:
-            raise CliError(f"missing vector {name}: pass --{name} or an instance file")
-        return None
-
-    def levels(self, name: str, required: bool = True) -> list[float] | None:
+    def get(self, name: str, required: bool = True):
+        """Value of an instance key (see _DEPTH), or None if absent and optional."""
+        depth = _DEPTH[name]
         flag = name.replace("_", "-")
         inline = getattr(self.args, name, None)
         if inline is not None:
-            return _parse_floats(inline, flag)
+            if depth == 0:
+                return float(inline)
+            return _parse_cycle(inline) if depth == 2 else _parse_floats(inline, flag)
         if name in self.file:
-            return self._file_list(name)
+            return _file_value(name, self.file[name], depth)
         if required:
-            raise CliError(f"missing {flag}: pass --{flag} or an instance file")
-        return None
-
-    def beta(self, required: bool = True) -> float | None:
-        inline = getattr(self.args, "beta", None)
-        if inline is not None:
-            return float(inline)
-        if "beta" in self.file:
-            return float(self.file["beta"])
-        if required:
-            raise CliError("missing beta: pass --beta or an instance file")
-        return None
-
-    def cycle(self, required: bool = True) -> list[list[float]] | None:
-        inline = getattr(self.args, "cycle", None)
-        if inline is not None:
-            return _parse_cycle(inline)
-        if "cycle" in self.file:
-            raw = self.file["cycle"]
-            if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
-                raise CliError("instance key cycle must be a list of lists")
-            return [[float(v) for v in s] for s in raw]
-        if required:
-            raise CliError("missing cycle: pass --cycle or an instance file")
+            what = f"vector {name}" if name in ("x", "y") else flag
+            raise CliError(f"missing {what}: pass --{flag} or an instance file")
         return None
 
 
@@ -236,8 +221,8 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
 
 def _cmd_check_major(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.vector("x")))
-    y = sort_desc(make_prob_vec(inp.vector("y")))
+    x = sort_desc(make_prob_vec(inp.get("x")))
+    y = sort_desc(make_prob_vec(inp.get("y")))
     ok = is_majorized_by(x, y)
     _emit(args, {"majorized": ok}, [_fmt_bool(ok)])
     return 0 if ok else 2
@@ -245,8 +230,8 @@ def _cmd_check_major(args: argparse.Namespace) -> int:
 
 def _cmd_vidal(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.vector("x")))
-    y = sort_desc(make_prob_vec(inp.vector("y")))
+    x = sort_desc(make_prob_vec(inp.get("x")))
+    y = sort_desc(make_prob_vec(inp.get("y")))
     p = vidal_probability(x, y)
     _emit(args, {"probability": p}, [_fmt(p)])
     return 0
@@ -254,9 +239,9 @@ def _cmd_vidal(args: argparse.Namespace) -> int:
 
 def _cmd_check_flex(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.vector("x")))
-    y = sort_desc(make_prob_vec(inp.vector("y")))
-    cycle = Cycle(tuple(sort_desc(make_prob_vec(s)) for s in inp.cycle()))
+    x = sort_desc(make_prob_vec(inp.get("x")))
+    y = sort_desc(make_prob_vec(inp.get("y")))
+    cycle = Cycle(tuple(sort_desc(make_prob_vec(s)) for s in inp.get("cycle")))
     ok = flexible_cycle_ok(x, y, cycle)
     _emit(args, {"feasible": ok}, [_fmt_bool(ok)])
     return 0 if ok else 2
@@ -264,17 +249,17 @@ def _cmd_check_flex(args: argparse.Namespace) -> int:
 
 def _cmd_check_thermo(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    p = make_prob_vec(inp.vector("x"))
-    q = make_prob_vec(inp.vector("y"))
-    beta = inp.beta()
-    levels_s = inp.levels("levels_s")
+    p = make_prob_vec(inp.get("x"))
+    q = make_prob_vec(inp.get("y"))
+    beta = inp.get("beta")
+    levels_s = inp.get("levels_s")
     gamma_s = gibbs_vector(levels_s, beta)
-    cycle_states = inp.cycle(required=False)
+    cycle_states = inp.get("cycle", required=False)
     if cycle_states is None:
         ok = thermo_majorizes(p, q, gamma_s)
         _emit(args, {"thermo_majorizes": ok}, [_fmt_bool(ok)])
         return 0 if ok else 2
-    levels_c = inp.levels("levels_c")
+    levels_c = inp.get("levels_c")
     gamma_c = gibbs_vector(levels_c, beta)
     cycle = Cycle(tuple(make_prob_vec(s) for s in cycle_states))
     ok = thermo_flexible_ok(p, q, gamma_s, cycle, gamma_c)
@@ -284,8 +269,8 @@ def _cmd_check_thermo(args: argparse.Namespace) -> int:
 
 def _cmd_gibbs(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    levels = inp.levels("levels_s")
-    beta = inp.beta()
+    levels = inp.get("levels_s")
+    beta = inp.get("beta")
     g = gibbs_vector(levels, beta)
     _emit(args, {"gibbs": list(g.values)}, [",".join(_fmt(v) for v in g.values)])
     return 0
@@ -293,8 +278,8 @@ def _cmd_gibbs(args: argparse.Namespace) -> int:
 
 def _cmd_scan_fig1(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.vector("x")))
-    y = sort_desc(make_prob_vec(inp.vector("y")))
+    x = sort_desc(make_prob_vec(inp.get("x")))
+    y = sort_desc(make_prob_vec(inp.get("y")))
     spec = _grid_spec(args, DEFAULT_ENT_GRID)
     grid = scan_pflex_landscape(x, y, spec)
     if args.json:
@@ -306,11 +291,11 @@ def _cmd_scan_fig1(args: argparse.Namespace) -> int:
 
 def _cmd_scan_fig2(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    p = make_prob_vec(inp.vector("x"))
-    q = make_prob_vec(inp.vector("y"))
+    p = make_prob_vec(inp.get("x"))
+    q = make_prob_vec(inp.get("y"))
     spec = _grid_spec(args, DEFAULT_THERMO_GRID)
     grid = scan_thermo_feasibility(
-        p, q, inp.levels("levels_s"), inp.levels("levels_c"), inp.beta(), spec
+        p, q, inp.get("levels_s"), inp.get("levels_c"), inp.get("beta"), spec
     )
     if args.json:
         feasible = int(round(float(grid.values.sum())))
@@ -322,8 +307,8 @@ def _cmd_scan_fig2(args: argparse.Namespace) -> int:
 
 def _cmd_best_catalyst(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.vector("x")))
-    y = sort_desc(make_prob_vec(inp.vector("y")))
+    x = sort_desc(make_prob_vec(inp.get("x")))
+    y = sort_desc(make_prob_vec(inp.get("y")))
     if args.standard:
         result = best_standard(x, y, args.resolution)
         payload = {"c": result.params[0], "value": result.value, "iterations": result.iterations}
@@ -348,11 +333,11 @@ def _cmd_best_catalyst(args: argparse.Namespace) -> int:
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.vector("x")))
-    y = sort_desc(make_prob_vec(inp.vector("y")))
+    x = sort_desc(make_prob_vec(inp.get("x")))
+    y = sort_desc(make_prob_vec(inp.get("y")))
     report = violation_indices(x, y)
     checks: dict[str, bool] = {"endpoint_conditions": endpoint_conditions_ok(x, y)}
-    cycle_states = inp.cycle(required=False)
+    cycle_states = inp.get("cycle", required=False)
     if cycle_states is not None:
         cycle = Cycle(tuple(sort_desc(make_prob_vec(s)) for s in cycle_states))
         checks["boundary_ratios"] = boundary_ratios_ok(x, y, cycle)

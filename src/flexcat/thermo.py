@@ -20,8 +20,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BadRange, DimensionMismatch, EmptyVector, FlexcatError
-from .probvec import Cycle, ProbVec, as_prob_vec, tensor
+from .errors import BadRange, DimensionMismatch, EmptyVector, FlexcatError, NonFiniteEntry
+from .probvec import CMP_TOL, SUM_TOL, Cycle, ProbVec, as_prob_vec, tensor
 
 CURVE_TOL = 1e-10
 
@@ -44,6 +44,8 @@ def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
     lv = [float(e) for e in levels]
     if not lv:
         raise EmptyVector("need at least one energy level")
+    if not all(math.isfinite(e) for e in lv):
+        raise NonFiniteEntry(f"energy levels must be finite, got {lv}")
     if not math.isfinite(beta):
         raise BadRange("beta must be finite")
     emin = min(lv)
@@ -88,15 +90,15 @@ class LorenzCurve:
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2:
             raise FlexcatError("curve needs at least two breakpoints")
-        if abs(bp[0][0]) > 1e-9 or abs(bp[0][1]) > 1e-9:
+        if abs(bp[0][0]) > SUM_TOL or abs(bp[0][1]) > SUM_TOL:
             raise FlexcatError("curve must start at the origin")
-        if abs(bp[-1][0] - 1.0) > 1e-9 or abs(bp[-1][1] - 1.0) > 1e-9:
+        if abs(bp[-1][0] - 1.0) > SUM_TOL or abs(bp[-1][1] - 1.0) > SUM_TOL:
             raise FlexcatError("curve must end at (1, 1)")
         prev_slope = math.inf
         for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
             if x1 <= x0:
                 raise FlexcatError("breakpoint x-coordinates must strictly increase")
-            if not -1e-12 <= y1 <= 1.0 + 1e-12:
+            if not -CMP_TOL <= y1 <= 1.0 + CMP_TOL:
                 raise FlexcatError("breakpoint heights must stay within [0, 1]")
             slope = (y1 - y0) / (x1 - x0)
             if slope > prev_slope + CURVE_TOL:
@@ -226,6 +228,12 @@ def lorenz_breakpoints_batch(rows: np.ndarray, gamma: np.ndarray) -> tuple[np.nd
     return x, y
 
 
+def _segment_lines(xa: np.ndarray, ya: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of each curve's segments, extended to lines."""
+    slopes = np.diff(ya, axis=1) / np.diff(xa, axis=1)
+    return slopes, ya[:, :-1] - slopes * xa[:, :-1]
+
+
 def dominance_matrix(
     xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray
 ) -> np.ndarray:
@@ -237,8 +245,7 @@ def dominance_matrix(
     per distinct row of xb, each value computed exactly as for a single row,
     and compared against every member's heights.
     """
-    slopes = np.diff(ya, axis=1) / np.diff(xa, axis=1)
-    intercepts = ya[:, :-1] - slopes * xa[:, :-1]
+    slopes, intercepts = _segment_lines(xa, ya)
     ux, inverse, counts = np.unique(xb, axis=0, return_inverse=True, return_counts=True)
     vals = np.full((xa.shape[0], ux.shape[0], ux.shape[1]), np.inf)
     for s in range(slopes.shape[1]):
@@ -259,7 +266,6 @@ def dominance_diagonal(
     xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray
 ) -> np.ndarray:
     """Boolean vector v[i] = curve A_i dominates curve B_i (paired rows)."""
-    slopes = np.diff(ya, axis=1) / np.diff(xa, axis=1)
-    intercepts = ya[:, :-1] - slopes * xa[:, :-1]
+    slopes, intercepts = _segment_lines(xa, ya)
     vals = np.min(intercepts[:, :, None] + slopes[:, :, None] * xb[:, None, :], axis=1)
     return np.all(vals >= yb - CURVE_TOL, axis=1)

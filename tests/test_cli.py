@@ -222,6 +222,16 @@ def test_non_finite_entry_exits_one(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    thermo = ["--x", "0.09,0.53,0.38", "--y", "0.11,0.75,0.14", "--beta", "1"]
+    for argv in (
+        ["gibbs", "--levels-s", "nan,1,2", "--beta", "1"],
+        ["gibbs", "--levels-s", "inf,1,2", "--beta", "1"],
+        ["scan-fig2", *thermo, "--levels-s", "0,1,2", "--levels-c", "0,nan", "--grid", "11"],
+    ):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: energy levels must be finite")
 
 
 @pytest.mark.parametrize(
@@ -241,8 +251,27 @@ def test_bad_search_arguments_exit_one(argv, capsys):
     assert captured.err.startswith("error:")
 
 
-def test_instance_file_rejects_non_list_levels(tmp_path, capsys):
-    inst = tmp_path / "levels.json"
-    inst.write_text(json.dumps({"levels_s": 3, "beta": 1.0}))
-    assert run(["gibbs", "--file", str(inst)]) == 1
-    assert "instance key levels_s must be a list" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command, instance, message",
+    [
+        ("gibbs", {"levels_s": 3, "beta": 1.0}, "instance key levels_s must be a list"),
+        ("gibbs", {"levels_s": [0, 1], "beta": "hot"}, "instance key beta holds a non-number"),
+        ("gibbs", {"levels_s": [0, 1], "beta": [1]}, "instance key beta holds a non-number"),
+        ("vidal", {"x": ["a", 0.5], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
+        ("vidal", {"x": [None, 1], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
+        ("vidal", {"x": [True, False], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
+        (
+            "check-flex",
+            {"x": [1, 0], "y": [1, 0], "cycle": [[1, 0], [0.5, "b"]]},
+            "instance key cycle holds a non-number",
+        ),
+    ],
+    ids=["levels-not-list", "beta-string", "beta-list", "x-string", "x-null", "x-bool", "cycle-string"],
+)
+def test_instance_file_rejects_non_list_levels(tmp_path, capsys, command, instance, message):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(instance))
+    assert run([command, "--file", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")

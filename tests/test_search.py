@@ -29,7 +29,16 @@ from flexcat import (
     uniform,
     vidal_probability,
 )
-from flexcat.search import _bool_power, _reconstruct_cycle
+from flexcat.probvec import CMP_TOL
+from flexcat.search import (
+    _bool_power,
+    _majorization_matrix,
+    _min_tail_ratio,
+    _prefix_matrix,
+    _reconstruct_cycle,
+    _standard_margins,
+    _tail_matrix,
+)
 from flexcat.thermo import gibbs_vector
 from helpers import (
     BETA,
@@ -235,21 +244,48 @@ def test_thermo_standard_scan_trivial_transition_is_full():
     assert feas.all()
 
 
-def test_scan_determinism_under_thread_env(monkeypatch):
-    x = schmidt(X_DEMO4)
-    y = schmidt(Y_DEMO4)
-    spec = GridSpec(0, 0.5, 0, 0.5, 67, 67)
-    monkeypatch.setenv("FLEXCAT_THREADS", "1")
-    serial = scan_pflex_landscape(x, y, spec).values
-    monkeypatch.setenv("FLEXCAT_THREADS", "4")
-    threaded = scan_pflex_landscape(x, y, spec).values
-    assert np.array_equal(serial, threaded)
-    tspec = GridSpec(0.0, 1.0, 0.0, 1.0, 51, 51)
-    monkeypatch.setenv("FLEXCAT_THREADS", "1")
-    t1 = scan_thermo_feasibility(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, tspec).values
-    monkeypatch.setenv("FLEXCAT_THREADS", "3")
-    t3 = scan_thermo_feasibility(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, tspec).values
-    assert np.array_equal(t1, t3)
+def _dense_min_tail_ratio(sx, sy):
+    """All-pairs ratios as one 3-D broadcast, empty target tails set to inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = sx[:, None, :] / sy[None, :, :]
+    r = np.where(sy[None, :, :] == 0.0, np.inf, r)
+    return r.min(axis=2)
+
+
+def _dense_majorization(px, py):
+    return np.all(px[:, None, :-1] <= py[None, :, :-1] + CMP_TOL, axis=2)
+
+
+def _margin_at(px, py, c):
+    """Prefix-sum slack of x⊗(1-c,c) against y⊗(1-c,c), built for one c."""
+    left = np.concatenate([px * (1.0 - c), px * c])
+    right = np.concatenate([py * (1.0 - c), py * c])
+    left.sort()
+    right.sort()
+    return float((np.cumsum(right[::-1]) - np.cumsum(left[::-1]))[:-1].min())
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_grid_kernels_equal_dense_references(d):
+    rng = np.random.default_rng(200 + d)
+    x = random_sorted(rng, d).as_array()
+    y = random_sorted(rng, d).as_array()
+    # both axes hold c = 0 and c = 0.5, whose rows have empty tails
+    cs1 = np.linspace(0.0, 0.5, 61)
+    cs2 = np.linspace(0.0, 0.5, 37)
+    for a, b in ((cs1, cs2), (cs2, cs1), (cs1, cs1)):
+        sx, sy = _tail_matrix(x, a), _tail_matrix(y, b)
+        assert (sy == 0.0).any()
+        assert np.array_equal(_min_tail_ratio(sx, sy), _dense_min_tail_ratio(sx, sy))
+        px, py = _prefix_matrix(x, a), _prefix_matrix(y, b)
+        assert np.array_equal(_majorization_matrix(px, py), _dense_majorization(px, py))
+        assert np.array_equal(_majorization_matrix(py, px), _dense_majorization(py, px))
+    margins = _standard_margins(_prefix_matrix(x, cs1), _prefix_matrix(y, cs1))
+    assert np.array_equal(margins, [_margin_at(x, y, c) for c in cs1])
+    for c in rng.uniform(0.0, 0.5, 20):
+        one_row = np.array([c])
+        margin = _standard_margins(_prefix_matrix(x, one_row), _prefix_matrix(y, one_row))
+        assert float(margin[0]) == _margin_at(x, y, float(c))
 
 
 def test_sampler_postcondition_and_determinism():

@@ -12,6 +12,7 @@ from flexcat import (
     Cycle,
     DimensionMismatch,
     GibbsVec,
+    NonFiniteEntry,
     LorenzCurve,
     ThermoContext,
     curve_geq,
@@ -65,6 +66,14 @@ def test_gibbs_large_offset_is_stable():
 def test_gibbs_rejects_nonfinite_beta():
     with pytest.raises(BadRange):
         gibbs_vector([0, 1], math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gibbs_rejects_nonfinite_levels(bad):
+    with pytest.raises(NonFiniteEntry):
+        gibbs_vector([0.0, bad, 2.0], 1.0)
+    with pytest.raises(NonFiniteEntry):
+        ThermoContext((bad, 1.0), 0.5)
 
 
 def test_gibbs_vec_requires_positive_entries():
