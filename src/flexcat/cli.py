@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = success / checked relation true; 1 = input or validation
-error; 2 = checked relation false or a search found a counterexample, so
+error, an export file that cannot be written, or stdout closed by its
+reader; 2 = checked relation false or a search found a counterexample, so
 shell scripts can branch on the math.
 
 Vectors are passed inline as comma-separated floats or through a JSON
@@ -183,15 +184,24 @@ def _grid_spec(args: argparse.Namespace, default: GridSpec) -> GridSpec:
 
 
 def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
-    a1 = grid.spec.axis1()
-    a2 = grid.spec.axis2()
+    """Write the grid as `c1,c2,value` rows in row-major order, 6 decimals.
+
+    Each axis point and each distinct value is formatted once, and the file
+    is written one grid row at a time, so at most one row of strings is held.
+    Values are told apart by their bit pattern, so -0.0 keeps its own text
+    ("-0.000000") instead of merging with 0.0.
+    """
+    bits = grid.values.view(np.uint64)
+    heads = [f"{v:.6f}," for v in grid.spec.axis1().tolist()]
+    c2 = np.array([f"{v:.6f}," for v in grid.spec.axis2().tolist()], dtype=object)
+    distinct = np.unique(bits)
+    text = np.array([f"{v:.6f}\n" for v in distinct.view(np.float64).tolist()], dtype=object)
     out.write("c1,c2,value\n")
-    for i in range(grid.spec.steps1):
-        for j in range(grid.spec.steps2):
-            out.write(f"{a1[i]:.6f},{a2[j]:.6f},{grid.values[i, j]:.6f}\n")
+    for head, row in zip(heads, bits):
+        out.write(head + head.join((c2 + text[np.searchsorted(distinct, row)]).tolist()))
 
 
-def _write_landscape_pgm(grid: LandscapeGrid, path: str) -> None:
+def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
     vals = grid.values
     lo = float(vals.min())
     hi = float(vals.max())
@@ -199,19 +209,36 @@ def _write_landscape_pgm(grid: LandscapeGrid, path: str) -> None:
     # rows follow c2 from lowest to highest; columns follow c1
     pixels = np.round(255.0 * scale.T).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(pixels.tobytes())
+    out.write(header.encode("ascii"))
+    out.write(pixels.tobytes())
 
 
 def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_landscape_csv(grid, fh)
-    else:
+    """Write the CSV to --out (or stdout) and the optional --pgm image.
+
+    Every file is opened before any output is written, so a bad path fails
+    before any output. An OSError on a file becomes a CliError naming that file.
+    """
+    outputs = []
+    if args.out:
+        outputs.append((args.out, "w", _write_landscape_csv))
+    if args.pgm:
+        outputs.append((args.pgm, "wb", _write_landscape_pgm))
+    handles = []
+    path = None  # the file being opened or written, for the error message
+    try:
+        for path, mode, _ in outputs:
+            handles.append(open(path, mode, encoding=None if "b" in mode else "utf-8"))
+        for (path, _, writer), fh in zip(outputs, handles):
+            with fh:
+                writer(grid, fh)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for fh in handles:
+            fh.close()
+    if not args.out:
         _write_landscape_csv(grid, sys.stdout)
-    if getattr(args, "pgm", None):
-        _write_landscape_pgm(grid, args.pgm)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +590,19 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`flexcat ... | head`): exit 1 with
+        # no traceback. Closing stdout drops the unwritten rest, so the flush
+        # at interpreter exit does not hit the broken pipe again.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

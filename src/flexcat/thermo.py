@@ -48,6 +48,8 @@ def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
         raise NonFiniteEntry(f"energy levels must be finite, got {lv}")
     if not math.isfinite(beta):
         raise BadRange("beta must be finite")
+    if beta < 0.0:
+        raise BadRange("beta must be non-negative")
     emin = min(lv)
     weights = [math.exp(-beta * (e - emin)) for e in lv]
     z = math.fsum(weights)
@@ -70,8 +72,6 @@ class ThermoContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(float(e) for e in self.levels))
-        if self.beta < 0.0:
-            raise BadRange("beta must be non-negative")
         object.__setattr__(self, "gibbs", gibbs_vector(self.levels, self.beta))
 
     @property

@@ -2,16 +2,33 @@
 
 from __future__ import annotations
 
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from flexcat import cli
 from flexcat.cli import run
-from flexcat.search import GridSpec, scan_pflex_landscape
+from flexcat.search import (
+    DEFAULT_ENT_GRID,
+    DEFAULT_THERMO_GRID,
+    GridSpec,
+    LandscapeGrid,
+    scan_pflex_landscape,
+    scan_thermo_feasibility,
+)
 from helpers import X_DEMO4, Y_DEMO4, schmidt
 
 DEMO_X = ",".join(str(v) for v in X_DEMO4)
 DEMO_Y = ",".join(str(v) for v in Y_DEMO4)
+FIG2 = ["--x", "0.09,0.53,0.38", "--y", "0.11,0.75,0.14",
+        "--levels-s", "0,1,2", "--levels-c", "0,1", "--beta", "1"]
 
 
 def test_check_major_true(capsys):
@@ -156,6 +173,106 @@ def test_scan_fig2_feasibility_csv(tmp_path):
     assert values <= {0.0, 1.0}
 
 
+def _reference_csv(grid: LandscapeGrid) -> str:
+    """The landscape CSV written cell by cell, as the exporter once did."""
+    a1 = grid.spec.axis1()
+    a2 = grid.spec.axis2()
+    out = io.StringIO()
+    out.write("c1,c2,value\n")
+    for i in range(grid.spec.steps1):
+        for j in range(grid.spec.steps2):
+            out.write(f"{a1[i]:.6f},{a2[j]:.6f},{grid.values[i, j]:.6f}\n")
+    return out.getvalue()
+
+
+def _fig1_grid(spec: GridSpec) -> LandscapeGrid:
+    return scan_pflex_landscape(schmidt(X_DEMO4), schmidt(Y_DEMO4), spec)
+
+
+@pytest.mark.parametrize(
+    "make_grid",
+    [
+        lambda: _fig1_grid(DEFAULT_ENT_GRID),
+        lambda: _fig1_grid(GridSpec(0.1, 0.4, 0.1, 0.4, 201, 201)),
+        lambda: scan_thermo_feasibility(
+            cli.THERMO_P, cli.THERMO_Q, cli.THERMO_LEVELS_S, cli.THERMO_LEVELS_C,
+            cli.THERMO_BETA, DEFAULT_THERMO_GRID,
+        ),
+        lambda: LandscapeGrid(
+            GridSpec(0.0, 1.0, -0.5, 0.25, 3, 4),
+            np.array(
+                [
+                    [-0.0, 0.0, -1e-13, 5e-7],
+                    [4.999999e-7, 1.0, math.nan, -0.0],
+                    [0.0, 1.0, 5e-7, -1e-13],
+                ]
+            ),
+            kind="feasibility",
+        ),
+    ],
+    ids=["fig1-201", "fig1-range", "fig2-401", "signed-zeros"],
+)
+def test_landscape_csv_matches_cell_loop(make_grid):
+    grid = make_grid()
+    out = io.StringIO()
+    cli._write_landscape_csv(grid, out)
+    assert out.getvalue() == _reference_csv(grid)
+
+
+def test_landscape_csv_file_equals_stdout(tmp_path, capsys):
+    argv = ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "31", "--range", "0.1:0.4"]
+    out = tmp_path / "fig1.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    bad = tmp_path / "missing" / "fig2.csv"
+    assert run(["scan-fig2", *FIG2, "--grid", "11", "--out", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+
+
+def test_unwritable_pgm_fails_before_any_output(tmp_path, capsys):
+    bad = tmp_path / "missing" / "fig2.pgm"
+    out = tmp_path / "fig2.csv"
+    assert run(["scan-fig2", *FIG2, "--grid", "11", "--out", str(out), "--pgm", str(bad)]) == 1
+    assert out.read_bytes() == b""
+    assert run(["scan-fig2", *FIG2, "--grid", "11", "--pgm", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("flag", ["--out", "--pgm"])
+def test_full_device_exits_one(tmp_path, capsys, flag):
+    argv = ["scan-fig2", *FIG2, "--grid", "11", "--out", str(tmp_path / "f.csv"), flag, "/dev/full"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flexcat.cli", "scan-fig2", *FIG2],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"c1,c2,value\n"
+        proc.stdout.close()  # the 401x401 CSV is far larger than the pipe buffer
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_best_catalyst_standard_output(capsys):
     assert run(["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y]) == 0
     out = capsys.readouterr().out
@@ -232,6 +349,22 @@ def test_non_finite_entry_exits_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: energy levels must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gibbs", "--levels-s", "0,1", "--beta", "-1"],
+        ["gibbs", "--levels-s", "0,1000", "--beta", "-1"],
+        ["check-thermo", *FIG2[:6], "--beta", "-0.5"],
+        ["scan-fig2", *FIG2[:8], "--beta", "-1", "--grid", "11"],
+    ],
+)
+def test_negative_beta_exits_one(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: beta must be non-negative\n"
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,14 @@ def test_gibbs_rejects_nonfinite_beta():
         gibbs_vector([0, 1], math.inf)
 
 
+@pytest.mark.parametrize("levels", [[0.0, 1.0], [0.0, 1000.0]])
+def test_gibbs_rejects_negative_beta(levels):
+    # a negative beta would invert the populations, or overflow exp() on wide levels
+    with pytest.raises(BadRange, match="beta must be non-negative"):
+        gibbs_vector(levels, -1.0)
+    assert gibbs_vector(levels, -0.0).values == gibbs_vector(levels, 0.0).values
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_gibbs_rejects_nonfinite_levels(bad):
     with pytest.raises(NonFiniteEntry):
