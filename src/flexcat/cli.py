@@ -576,10 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # parsing leaves it unchanged: built once
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    global _PARSER
+    _PARSER = _PARSER or build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

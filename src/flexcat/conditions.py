@@ -1,8 +1,8 @@
 """Necessary conditions and structural theorems for flexible catalyst cycles.
 
 Each result is a runtime predicate so searches can use it as a cheap
-pre-filter before any grid work. Strict inequalities carry a 1e-10 slack
-toward acceptance; exact-equality preconditions use the 1e-12 sum tolerance.
+pre-filter before any grid work. Strict inequalities carry RATIO_TOL of
+slack toward acceptance; exact-equality preconditions use CMP_TOL.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .majorize import (
     incomparable,
     standard_catalysis_ok,
 )
-from .probvec import CMP_TOL, Cycle, SchmidtVec, as_schmidt_vec
-
-RATIO_TOL = 1e-10
+from .probvec import CMP_TOL, RATIO_TOL, Cycle, SchmidtVec, as_schmidt_vec
 
 
 def _require_positive_tails(x: SchmidtVec, y: SchmidtVec) -> None:

@@ -1,6 +1,6 @@
 """Majorization order, stochastic conversion probability, and catalysis checks.
 
-Partial-sum comparisons carry an additive slack of 1e-12 so exact-equality
+Partial-sum comparisons carry an additive slack of CMP_TOL so exact-equality
 boundary cases stay deterministic in floating point. Vectors of unequal
 dimension are zero-padded, which leaves the order unchanged.
 """

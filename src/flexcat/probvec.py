@@ -23,12 +23,15 @@ from .errors import (
     NotSorted,
 )
 
-# Inputs within SUM_TOL of unit sum are accepted and renormalized exactly;
-# downstream comparisons of sums use CMP_TOL. Entries at or below CLAMP in
-# magnitude become exact zeros so support counts are well-defined in floats.
+# All of the package's tolerances. Inputs within SUM_TOL of unit sum are
+# renormalized exactly; comparisons of sums use CMP_TOL. Entries at or below
+# CLAMP in magnitude become exact zeros so support counts are well-defined.
 SUM_TOL = 1e-9
 CMP_TOL = 1e-12
 CLAMP = 1e-15
+CURVE_TOL = 1e-10  # slack of Lorenz-curve dominance, toward acceptance
+RATIO_TOL = 1e-10  # slack of strict ratio inequalities, toward acceptance
+PARAM_PRECISION = 1e-6  # the optimizers stop once their step falls below it
 
 
 @dataclass(frozen=True)
@@ -77,9 +80,9 @@ def make_prob_vec(raw: Iterable[float]) -> ProbVec:
     """Validate and normalize a raw sequence into a ProbVec.
 
     NaN or infinite entries raise NonFiniteEntry and entries strictly below
-    -1e-15 raise NegativeEntry; entries within 1e-15 of zero are clamped to
-    exactly 0. Sums within 1e-9 of unity are renormalized to exact unit sum,
-    anything further off raises BadNormalization.
+    -CLAMP raise NegativeEntry; entries within CLAMP of zero are clamped to
+    exactly 0. Sums within SUM_TOL of unity are renormalized to exact unit
+    sum, anything further off raises BadNormalization.
     """
     vals = [float(v) for v in raw]
     if not vals:

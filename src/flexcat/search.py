@@ -28,6 +28,7 @@ from .errors import BadRange, DimensionMismatch, SamplingFailed, WrongDimension
 from .majorize import incomparable, vidal_probability
 from .probvec import (
     CMP_TOL,
+    PARAM_PRECISION,
     Cycle,
     ProbVec,
     SchmidtVec,
@@ -37,13 +38,13 @@ from .probvec import (
     tensor,
 )
 from .thermo import (
+    _tensor_rows,
     dominance_diagonal,
     dominance_matrix,
+    gibbs_tensor,
     gibbs_vector,
     lorenz_breakpoints_batch,
 )
-
-PARAM_PRECISION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class LandscapeGrid:
             raise DimensionMismatch(
                 f"values shape {vals.shape} != grid {(self.spec.steps1, self.spec.steps2)}"
             )
-        if self.kind == "probability" and (vals.min() < -CMP_TOL or vals.max() > 1 + CMP_TOL):
+        # a NaN fails every comparison, so it is rejected too
+        if self.kind == "probability" and not -CMP_TOL <= vals.min() <= vals.max() <= 1 + CMP_TOL:
             raise BadRange("probability values must lie in [0, 1]")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -323,8 +325,7 @@ def best_flexible(
 
 def _thermo_rows(v: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Rows of v ⊗ (c, 1-c) in composite index order (system major)."""
-    weights = np.stack([cs, 1.0 - cs], axis=1)
-    return (v[None, :, None] * weights[:, None, :]).reshape(len(cs), 2 * len(v))
+    return _tensor_rows(v, np.stack([cs, 1.0 - cs], axis=1))
 
 
 def _thermo_inputs(
@@ -341,9 +342,8 @@ def _thermo_inputs(
         raise DimensionMismatch("states and system levels must share dimension")
     if len(levels_c) != 2:
         raise DimensionMismatch("catalyst parameterization needs exactly 2 levels")
-    gs = gibbs_vector(levels_s, beta).as_array()
-    gc = gibbs_vector(levels_c, beta).as_array()
-    return vp, vq, np.outer(gs, gc).ravel()
+    gamma = gibbs_tensor(gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta))
+    return vp, vq, gamma.as_array()
 
 
 def scan_thermo_feasibility(

@@ -5,25 +5,23 @@ distribution gamma. Sorting the ratios p_i/gamma_i non-increasingly and
 accumulating (gamma, p) mass yields a concave piecewise-linear curve; p
 thermo-majorizes q iff p's curve dominates q's everywhere.
 
-Curve dominance is evaluated on the union of both curves' breakpoints with
-slack 1e-10 (looser than the 1e-12 sum tolerance because each curve value
-accumulates up to d rounded products).
+Every dominance check, single or batched, evaluates the dominating curve as
+the minimum of its segment lines at the dominated curve's breakpoints, with
+slack CURVE_TOL (each value sums up to d rounded products). A segment of
+zero width in floats, where a Gibbs weight below about e^-37 does not change
+the running sum, is a repeated point: its line is ignored.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import BadRange, DimensionMismatch, EmptyVector, FlexcatError, NonFiniteEntry
-from .probvec import CMP_TOL, SUM_TOL, Cycle, ProbVec, as_prob_vec, tensor
-
-CURVE_TOL = 1e-10
+from .probvec import CMP_TOL, CURVE_TOL, SUM_TOL, Cycle, ProbVec, as_prob_vec, tensor
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ class ThermoContext:
 
 @dataclass(frozen=True)
 class LorenzCurve:
-    """Concave piecewise-linear curve from (0,0) to (1,1) as breakpoints."""
+    """Concave piecewise-linear curve from (0,0) to (1,1); np.interp(x, c.xs, c.ys) evaluates it."""
 
     breakpoints: tuple[tuple[float, float], ...]
 
@@ -113,46 +111,37 @@ class LorenzCurve:
     def ys(self) -> tuple[float, ...]:
         return tuple(y for _, y in self.breakpoints)
 
-    def value_at(self, x: float) -> float:
-        """Piecewise-linear interpolation, clamped to the end heights outside [0,1]."""
-        xs = self.xs
-        ys = self.ys
-        if x <= xs[0]:
-            return ys[0]
-        if x >= xs[-1]:
-            return ys[-1]
-        i = bisect_right(xs, x) - 1
-        t = (x - xs[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + t * (ys[i + 1] - ys[i])
+
+def _breakpoints(
+    gamma: ProbVec | Sequence[float], *states: ProbVec | Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lorenz breakpoints of the states relative to gamma, validating each in turn."""
+    rows = []
+    for state in states:
+        vs = as_prob_vec(state)
+        vg = as_gibbs_vec(gamma)
+        if vs.dim != vg.dim:
+            raise DimensionMismatch(f"state dim {vs.dim} != reference dim {vg.dim}")
+        rows.append(vs.values)
+    return lorenz_breakpoints_batch(np.array(rows), vg.values)
 
 
 def lorenz_curve(p: ProbVec | Sequence[float], gamma: ProbVec | Sequence[float]) -> LorenzCurve:
     """Thermo-Lorenz curve of p relative to gamma.
 
     Levels are ordered by non-increasing p_i/gamma_i (stable on ties) and the
-    breakpoints are the cumulative (gamma, p) masses in that order.
+    breakpoints are the cumulative (gamma, p) masses in that order. A point
+    whose x does not exceed its predecessor's in floats is dropped.
     """
-    vp = as_prob_vec(p)
-    vg = as_gibbs_vec(gamma)
-    if vp.dim != vg.dim:
-        raise DimensionMismatch(f"state dim {vp.dim} != reference dim {vg.dim}")
-    order = sorted(range(vp.dim), key=lambda i: -(vp.values[i] / vg.values[i]))
-    gx = list(accumulate(vg.values[i] for i in order))
-    py = list(accumulate(vp.values[i] for i in order))
-    gx[-1] = 1.0  # cumulative masses of unit-sum vectors; snap away rounding
-    py[-1] = 1.0
-    points = [(0.0, 0.0)] + list(zip(gx, py))
-    return LorenzCurve(tuple(points))
+    xs, ys = (a[0].tolist() for a in _breakpoints(gamma, p))
+    points = [(x1, y1) for x0, x1, y1 in zip(xs, xs[1:], ys[1:]) if x1 > x0]
+    return LorenzCurve(((0.0, 0.0), *points))
 
 
 def curve_geq(a: LorenzCurve, b: LorenzCurve) -> bool:
-    """True iff curve a dominates curve b everywhere.
-
-    Checking the union of both curves' breakpoints is sufficient for concave
-    piecewise-linear curves.
-    """
-    grid = sorted(set(a.xs) | set(b.xs))
-    return all(a.value_at(x) >= b.value_at(x) - CURVE_TOL for x in grid)
+    """True iff curve a dominates curve b everywhere."""
+    ca, cb = np.array((a.xs, a.ys)), np.array((b.xs, b.ys))
+    return bool(dominance_diagonal(ca[:1], ca[1:], cb[:1], cb[1:])[0])
 
 
 def thermo_majorizes(
@@ -161,7 +150,8 @@ def thermo_majorizes(
     gamma: ProbVec | Sequence[float],
 ) -> bool:
     """True iff p thermo-majorizes q relative to gamma (p ≻_β q)."""
-    return curve_geq(lorenz_curve(p, gamma), lorenz_curve(q, gamma))
+    x, y = _breakpoints(gamma, p, q)
+    return bool(dominance_diagonal(x[:1], y[:1], x[1:], y[1:])[0])
 
 
 def gibbs_tensor(gamma_s: ProbVec | Sequence[float], gamma_c: ProbVec | Sequence[float]) -> GibbsVec:
@@ -171,6 +161,11 @@ def gibbs_tensor(gamma_s: ProbVec | Sequence[float], gamma_c: ProbVec | Sequence
     product to avoid re-exponentiation error.
     """
     return GibbsVec(tensor(as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)).values)
+
+
+def _tensor_rows(v: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Rows v ⊗ states[i], system major; v is one state or one state per row."""
+    return (v[..., :, None] * states[:, None, :]).reshape(len(states), -1)
 
 
 def thermo_flexible_ok(
@@ -193,19 +188,13 @@ def thermo_flexible_ok(
         raise DimensionMismatch("states and system reference must share dimension")
     if cycle.k != gc.dim:
         raise DimensionMismatch("cycle states and catalyst reference must share dimension")
-    composite = gibbs_tensor(gs, gc)
-    for ci, cj in cycle.pairs():
-        if not thermo_majorizes(tensor(vp, ci), tensor(vq, cj), composite):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Batch machinery used by the landscape scans. A concave piecewise-linear
-# curve equals the pointwise minimum of its extended segment lines, and
-# dominance everywhere is equivalent to dominance at the dominated curve's
-# breakpoints, so the pairwise check reduces to dense array arithmetic.
-# ---------------------------------------------------------------------------
+    n = cycle.n
+    states = [c.values for c in cycle.states]
+    rows = _tensor_rows(
+        np.array([vp.values] * n + [vq.values] * n), np.array(states + states[1:] + states[:1])
+    )
+    x, y = lorenz_breakpoints_batch(rows, gibbs_tensor(gs, gc).values)
+    return bool(dominance_diagonal(x[:n], y[:n], x[n:], y[n:]).all())
 
 
 def lorenz_breakpoints_batch(rows: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,22 +205,27 @@ def lorenz_breakpoints_batch(rows: np.ndarray, gamma: np.ndarray) -> tuple[np.nd
     """
     rows = np.asarray(rows, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    order = np.argsort(-(rows / gamma), axis=1, kind="stable")
-    gs = np.take_along_axis(np.broadcast_to(gamma, rows.shape), order, axis=1)
-    ps = np.take_along_axis(rows, order, axis=1)
-    m = rows.shape[0]
-    zeros = np.zeros((m, 1))
-    x = np.concatenate([zeros, np.cumsum(gs, axis=1)], axis=1)
-    y = np.concatenate([zeros, np.cumsum(ps, axis=1)], axis=1)
+    order = (-(rows / gamma)).argsort(axis=1, kind="stable")
+    m, d = rows.shape
+    x = np.zeros((m, d + 1))
+    y = np.zeros((m, d + 1))
+    gamma[order].cumsum(axis=1, out=x[:, 1:])
+    rows[np.arange(m)[:, None], order].cumsum(axis=1, out=y[:, 1:])
     x[:, -1] = 1.0
     y[:, -1] = 1.0
     return x, y
 
 
 def _segment_lines(xa: np.ndarray, ya: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes and intercepts of each curve's segments, extended to lines."""
-    slopes = np.diff(ya, axis=1) / np.diff(xa, axis=1)
-    return slopes, ya[:, :-1] - slopes * xa[:, :-1]
+    """Slopes and intercepts of each curve's segments, extended to lines.
+
+    A segment of zero width (dx <= 0 in floats) is a repeated point: it gets
+    slope 0 and intercept +inf, so it never sets the minimum.
+    """
+    dx = xa[:, 1:] - xa[:, :-1]
+    wide = dx > 0
+    slopes = np.divide(ya[:, 1:] - ya[:, :-1], dx, out=np.zeros_like(dx), where=wide)
+    return slopes, np.where(wide, ya[:, :-1] - slopes * xa[:, :-1], np.inf)
 
 
 def dominance_matrix(
@@ -267,5 +261,5 @@ def dominance_diagonal(
 ) -> np.ndarray:
     """Boolean vector v[i] = curve A_i dominates curve B_i (paired rows)."""
     slopes, intercepts = _segment_lines(xa, ya)
-    vals = np.min(intercepts[:, :, None] + slopes[:, :, None] * xb[:, None, :], axis=1)
-    return np.all(vals >= yb - CURVE_TOL, axis=1)
+    vals = (intercepts[:, :, None] + slopes[:, :, None] * xb[:, None, :]).min(axis=1)
+    return (vals >= yb - CURVE_TOL).all(axis=1)

@@ -7,6 +7,7 @@ acceptance gate can run the same suites at their pinned sizes.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +95,53 @@ def oracle_standard_catalysis(x_vals, y_vals, c_vals) -> bool:
     xt = [a * b for a in x_vals for b in c_vals]
     yt = [a * b for a in y_vals for b in c_vals]
     return oracle_majorized(xt, yt)
+
+
+def _exact_unit(vals) -> list[Fraction]:
+    fr = [Fraction(v) for v in vals]  # exact for floats, ints and fractions alike
+    total = sum(fr)
+    return [f / total for f in fr]
+
+
+def _exact_lorenz(p: list[Fraction], g: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    order = sorted(range(len(p)), key=lambda i: p[i] / g[i], reverse=True)
+    points = [(Fraction(0), Fraction(0))]
+    for i in order:
+        points.append((points[-1][0] + g[i], points[-1][1] + p[i]))
+    return points
+
+
+def exact_thermo_margin(p_vals, q_vals, g_vals) -> Fraction:
+    """min over q's Lorenz breakpoints of L_p(x) - L_q(x), in exact rationals.
+
+    Each input is converted exactly and normalized to an exact unit sum; p
+    thermo-majorizes q relative to g iff the margin is >= 0. A Gibbs weight
+    too small to move a float sum still moves these sums.
+    """
+    g = _exact_unit(g_vals)
+    lp = _exact_lorenz(_exact_unit(p_vals), g)
+
+    def height(x: Fraction) -> Fraction:
+        k = next(k for k in range(1, len(lp)) if lp[k][0] >= x)
+        (x0, y0), (x1, y1) = lp[k - 1], lp[k]
+        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+    return min(height(x) - yq for x, yq in _exact_lorenz(_exact_unit(q_vals), g))
+
+
+def exact_thermo_cycle_margin(p_vals, q_vals, g_s, g_c, states) -> Fraction:
+    """Worst step of p ⊗ c_i ≻ q ⊗ c_{i+1} relative to g_s ⊗ g_c, exactly."""
+    def exact_tensor(a, b):
+        return [Fraction(u) * Fraction(v) for u in a for v in b]
+
+    n = len(states)
+    return min(
+        exact_thermo_margin(
+            exact_tensor(p_vals, states[i]), exact_tensor(q_vals, states[(i + 1) % n]),
+            exact_tensor(g_s, g_c),
+        )
+        for i in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,10 @@ def test_check_thermo_direct_and_cycle(capsys):
     code = run(base + ["--levels-c", "0,1", "--cycle", "0.82,0.18;0.59,0.41"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "true"
+    # catalyst weight e^-45: some Lorenz segments have zero width in floats
+    code = run(base + ["--levels-c", "0,45", "--cycle", "1,0;0.5,0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out.strip(), captured.err) == (2, "false", "")
 
 
 def test_gibbs_output(capsys):
@@ -349,6 +353,18 @@ def test_non_finite_entry_exits_one(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: energy levels must be finite")
+
+
+def test_underflowing_composite_gibbs_weight_exits_one(capsys):
+    # e^-400 * e^-400 underflows to 0.0, so there is no valid composite reference
+    system = ["--x", "0.5,0.3,0.2", "--y", "0.6,0.3,0.1", "--levels-s", "0,1,400",
+              "--levels-c", "0,400", "--beta", "1"]
+    for argv in (["scan-fig2", *system, "--grid", "3"],
+                 ["check-thermo", *system, "--cycle", "0.5,0.5;0.4,0.6"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reference distribution must be strictly positive\n"
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,10 @@ def test_landscape_grid_validation():
         LandscapeGrid(spec, np.zeros((3, 3)), "heat")
     with pytest.raises(Exception):
         LandscapeGrid(spec, np.zeros((2, 3)), "probability")
+    with pytest.raises(BadRange):
+        LandscapeGrid(
+            GridSpec(0.0, 0.5, 0.0, 0.5, 2, 2), np.array([[0.5, np.nan], [0.0, 1.0]]), "probability"
+        )
     grid = LandscapeGrid(spec, np.zeros((3, 3)), "feasibility")
     with pytest.raises(ValueError):
         grid.values[0, 0] = 1.0  # values are read-only

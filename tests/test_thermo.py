@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from flexcat import (
     uniform,
 )
 from flexcat.errors import FlexcatError
-from flexcat.search import _thermo_rows
+from flexcat.search import GridSpec, _thermo_rows, scan_thermo_feasibility
 from flexcat.thermo import CURVE_TOL, dominance_matrix, lorenz_breakpoints_batch
 from helpers import (
     BETA,
@@ -36,9 +39,60 @@ from helpers import (
     THERMO_C2,
     THERMO_P,
     THERMO_Q,
+    exact_thermo_cycle_margin,
     random_prob,
     suite_uniform_gamma_thermo,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference path: per-curve Python breakpoints, interpolation on the union of
+# both curves' breakpoints (the scalar path before the batch kernel served it)
+# ---------------------------------------------------------------------------
+
+
+def _ref_breakpoints(p_vals, g_vals) -> list[tuple[float, float]]:
+    order = sorted(range(len(p_vals)), key=lambda i: -(p_vals[i] / g_vals[i]))
+    gx = list(accumulate(g_vals[i] for i in order))
+    py = list(accumulate(p_vals[i] for i in order))
+    gx[-1] = 1.0
+    py[-1] = 1.0
+    return [(0.0, 0.0)] + list(zip(gx, py))
+
+
+def _ref_value_at(points, x: float) -> float:
+    """Piecewise-linear interpolation, clamped to the end heights outside [0,1]."""
+    xs = [pt[0] for pt in points]
+    ys = [pt[1] for pt in points]
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    i = bisect_right(xs, x) - 1
+    t = (x - xs[i]) / (xs[i + 1] - xs[i])
+    return ys[i] + t * (ys[i + 1] - ys[i])
+
+
+def _ref_curve_geq(a, b) -> bool:
+    grid = sorted({pt[0] for pt in a} | {pt[0] for pt in b})
+    return all(_ref_value_at(a, x) >= _ref_value_at(b, x) - CURVE_TOL for x in grid)
+
+
+def _ref_thermo_majorizes(p_vals, q_vals, g_vals) -> bool:
+    return _ref_curve_geq(_ref_breakpoints(p_vals, g_vals), _ref_breakpoints(q_vals, g_vals))
+
+
+def _ref_thermo_flexible_ok(p, q, gs, states, gc) -> bool:
+    composite = [a * b for a in gs for b in gc]
+    n = len(states)
+    return all(
+        _ref_thermo_majorizes(
+            [a * b for a in p for b in states[i]],
+            [a * b for a in q for b in states[(i + 1) % n]],
+            composite,
+        )
+        for i in range(n)
+    )
 
 
 def test_gibbs_degenerate_levels():
@@ -109,7 +163,8 @@ def test_lorenz_point_mass_rises_then_flat():
     p = make_prob_vec([1.0, 0.0, 0.0])  # largest ratio sits on level 0
     curve = lorenz_curve(p, g)
     assert curve.breakpoints[1] == pytest.approx((g.values[0], 1.0), abs=1e-12)
-    assert curve.value_at(0.9) == pytest.approx(1.0, abs=1e-12)
+    assert _ref_value_at(curve.breakpoints, 0.9) == pytest.approx(1.0, abs=1e-12)
+    assert np.interp(0.9, curve.xs, curve.ys) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lorenz_beta_order_demo_state():
@@ -195,7 +250,9 @@ def test_tie_independence_of_level_permutation():
     a = lorenz_curve(p, g)
     b = lorenz_curve(p_swapped, g_swapped)
     for t in np.linspace(0, 1, 101):
-        assert a.value_at(t) == pytest.approx(b.value_at(t), abs=1e-12)
+        assert _ref_value_at(a.breakpoints, t) == pytest.approx(
+            _ref_value_at(b.breakpoints, t), abs=1e-12
+        )
 
 
 def test_thermo_flexible_demo_cycle_both_directions():
@@ -265,6 +322,7 @@ def test_batch_lorenz_matches_scalar():
     xb, yb = lorenz_breakpoints_batch(rows, g.as_array())
     for i in range(20):
         curve = lorenz_curve(make_prob_vec(rows[i]), g)
+        assert curve.breakpoints == tuple(_ref_breakpoints(make_prob_vec(rows[i]).values, g.values))
         assert xb[i] == pytest.approx([pt[0] for pt in curve.breakpoints], abs=1e-12)
         assert yb[i] == pytest.approx([pt[1] for pt in curve.breakpoints], abs=1e-12)
 
@@ -290,11 +348,12 @@ def test_batch_dominance_matches_curve_geq():
     m = dominance_matrix(xa, ya, xb, yb)
     for i in range(12):
         for j in range(12):
-            scalar = curve_geq(
-                lorenz_curve(make_prob_vec(rows_a[i]), g),
-                lorenz_curve(make_prob_vec(rows_b[j]), g),
-            )
-            assert m[i, j] == scalar
+            want = _ref_thermo_majorizes(rows_a[i].tolist(), rows_b[j].tolist(), g.values)
+            curve_a = lorenz_curve(make_prob_vec(rows_a[i]), g)
+            curve_b = lorenz_curve(make_prob_vec(rows_b[j]), g)
+            assert m[i, j] == want
+            assert curve_geq(curve_a, curve_b) == want
+            assert thermo_majorizes(make_prob_vec(rows_a[i]), make_prob_vec(rows_b[j]), g) == want
     # scan-shaped rows share abscissa rows, including the tie at c = 0.5
     gs = gibbs_vector(rng.normal(0, 1, 3), 0.7)
     gamma = gibbs_tensor(gs, gibbs_vector([0.0, 0.0], 0.7))
@@ -304,11 +363,15 @@ def test_batch_dominance_matches_curve_geq():
     xb, yb = _scan_curves(q, SCAN_CS, gamma.as_array())
     assert len(np.unique(xb, axis=0)) < len(SCAN_CS)
     m = dominance_matrix(xa, ya, xb, yb)
+    ref_a = [_ref_breakpoints(r.tolist(), gamma.values) for r in _thermo_rows(p, SCAN_CS)]
+    ref_b = [_ref_breakpoints(r.tolist(), gamma.values) for r in _thermo_rows(q, SCAN_CS)]
     curves_a = [lorenz_curve(make_prob_vec(r), gamma) for r in _thermo_rows(p, SCAN_CS)]
     curves_b = [lorenz_curve(make_prob_vec(r), gamma) for r in _thermo_rows(q, SCAN_CS)]
     for i, curve_a in enumerate(curves_a):
         for j, curve_b in enumerate(curves_b):
-            assert m[i, j] == curve_geq(curve_a, curve_b)
+            want = _ref_curve_geq(ref_a[i], ref_b[j])
+            assert m[i, j] == want
+            assert curve_geq(curve_a, curve_b) == want
 
 
 def _dense_dominance(xa, ya, xb, yb):
@@ -344,3 +407,79 @@ def test_dominance_matrix_equals_dense_reference(d):
     xb, yb = xb[distinct], yb[distinct]
     assert len(xb) >= 4
     assert np.array_equal(dominance_matrix(xa, ya, xb, yb), _dense_dominance(xa, ya, xb, yb))
+
+
+def _tied_state(rng, g: np.ndarray) -> tuple[float, ...]:
+    """A random state; half of them put equal ratios p_i / g_i on several levels."""
+    d = len(g)
+    p = rng.exponential(1.0, d)
+    if rng.random() < 0.5:
+        tied = rng.choice(d, int(rng.integers(2, d + 1)), replace=False)
+        p[tied] = g[tied] * rng.uniform(0.5, 2.0)
+    return tuple(p / p.sum())
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_thermo_flexible_ok_matches_reference(d):
+    rng = np.random.default_rng(200 + d)
+    verdicts = set()
+    for trial in range(60):
+        k = int(rng.integers(2, 4))
+        n = int(rng.integers(1, 4))
+        beta = float(rng.uniform(0.0, 2.0))
+        gs = gibbs_vector(rng.uniform(0.0, 3.0, d), beta)
+        gc = gibbs_vector(rng.uniform(0.0, 2.0, k), beta)
+        p = _tied_state(rng, gs.as_array())
+        # half of the targets are mixed toward the Gibbs state, so both verdicts occur
+        q = _tied_state(rng, gs.as_array())
+        if trial % 2:
+            q = tuple(0.5 * a + 0.5 * b for a, b in zip(p, gs.values))
+        states = [_tied_state(rng, gc.as_array()) for _ in range(n)]
+        got = thermo_flexible_ok(p, q, gs, Cycle(tuple(map(make_prob_vec, states))), gc)
+        want = _ref_thermo_flexible_ok(
+            make_prob_vec(p).values, make_prob_vec(q).values, gs.values,
+            [make_prob_vec(c).values for c in states], gc.values,
+        )
+        assert got == want, (p, q, states, gs.values, gc.values)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+# A Gibbs weight of e^-40 is too small to change a float running sum, so some
+# Lorenz segments have zero width in floats.
+TINY_X = (0.5, 0.3, 0.2)
+TINY_Y = (0.6, 0.3, 0.1)
+TINY_LEVELS_S = (0.0, 1.0, 40.0)
+
+
+def test_tiny_gibbs_weight_scan_matches_exact_oracle():
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = scan_thermo_feasibility(TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0, spec)
+    gs = gibbs_vector(TINY_LEVELS_S, 1.0).values
+    gc = gibbs_vector((0.0, 1.0), 1.0).values
+    cs = spec.axis1()
+    exact = np.array(
+        [
+            [
+                exact_thermo_cycle_margin(TINY_X, TINY_Y, gs, gc, [(c1, 1.0 - c1), (c2, 1.0 - c2)])
+                >= 0
+                for c2 in cs
+            ]
+            for c1 in cs
+        ]
+    )
+    assert exact.sum() == 15
+    assert np.array_equal(grid.values == 1.0, exact)
+
+
+@pytest.mark.parametrize("p", [(0.6, 0.4, 0.0), (0.5, 0.5, 0.0), (0.5, 0.3, 0.2)])
+def test_lorenz_curve_with_tiny_gibbs_weight(p):
+    g = gibbs_vector(TINY_LEVELS_S, 1.0)
+    curve = lorenz_curve(p, g)  # construction validates the curve
+    assert curve.breakpoints[0] == (0.0, 0.0)
+    assert curve.breakpoints[-1] == (1.0, 1.0)
+    assert all(x0 < x1 for x0, x1 in zip(curve.xs, curve.xs[1:]))
+    assert curve_geq(curve, curve)
+    assert thermo_majorizes(p, p, g)
