@@ -5,11 +5,12 @@ distribution gamma. Sorting the ratios p_i/gamma_i non-increasingly and
 accumulating (gamma, p) mass yields a concave piecewise-linear curve; p
 thermo-majorizes q iff p's curve dominates q's everywhere.
 
-Every dominance check, single or batched, evaluates the dominating curve as
-the minimum of its segment lines at the dominated curve's breakpoints, with
-slack CURVE_TOL (each value sums up to d rounded products). A segment of
-zero width in floats, where a Gibbs weight below about e^-37 does not change
-the running sum, is a repeated point: its line is ignored.
+Every dominance check, single or batched, evaluates the dominating curve at
+the dominated curve's breakpoints, interpolating on the segment that holds
+each point, with slack CURVE_TOL (each value sums up to d rounded products).
+A segment of zero width in floats (a Gibbs weight below about e^-37) never
+holds a point; a narrow one's slope, rounded by up to ulp/width, is never
+extended past its ends.
 """
 
 from __future__ import annotations
@@ -92,16 +93,15 @@ class LorenzCurve:
             raise FlexcatError("curve must start at the origin")
         if abs(bp[-1][0] - 1.0) > SUM_TOL or abs(bp[-1][1] - 1.0) > SUM_TOL:
             raise FlexcatError("curve must end at (1, 1)")
-        prev_slope = math.inf
-        for (x0, y0), (x1, y1) in zip(bp, bp[1:]):
+        for (x0, _), (x1, y1) in zip(bp, bp[1:]):
             if x1 <= x0:
                 raise FlexcatError("breakpoint x-coordinates must strictly increase")
             if not -CMP_TOL <= y1 <= 1.0 + CMP_TOL:
                 raise FlexcatError("breakpoint heights must stay within [0, 1]")
-            slope = (y1 - y0) / (x1 - x0)
-            if slope > prev_slope + CURVE_TOL:
+        # concave: no breakpoint below its neighbours' chord (by height, not slope)
+        for (x0, y0), (x1, y1), (x2, y2) in zip(bp, bp[1:], bp[2:]):
+            if y1 < y0 + (y2 - y0) * (x1 - x0) / (x2 - x0) - CURVE_TOL:
                 raise FlexcatError("curve is not concave")
-            prev_slope = slope
 
     @property
     def xs(self) -> tuple[float, ...]:
@@ -216,16 +216,22 @@ def lorenz_breakpoints_batch(rows: np.ndarray, gamma: np.ndarray) -> tuple[np.nd
     return x, y
 
 
-def _segment_lines(xa: np.ndarray, ya: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes and intercepts of each curve's segments, extended to lines.
+def _curve_values(xa: np.ndarray, ya: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Each curve A_i at the points pts[i] (one row per curve, or one for all).
 
-    A segment of zero width (dx <= 0 in floats) is a repeated point: it gets
-    slope 0 and intercept +inf, so it never sets the minimum.
+    A point is interpolated on the last segment whose left end does not exceed
+    it, so a zero-width segment is reached only as the final one (slope 0).
     """
+    m, n = xa.shape
+    col = (m,) + (1,) * (pts.ndim - 1)
+    seg = (xa[:, 1:-1].T.reshape((n - 2,) + col) <= pts).sum(axis=0)
+    seg += (np.arange(m) * n).reshape(col)  # flat indices into the (m, n) arrays
     dx = xa[:, 1:] - xa[:, :-1]
-    wide = dx > 0
-    slopes = np.divide(ya[:, 1:] - ya[:, :-1], dx, out=np.zeros_like(dx), where=wide)
-    return slopes, np.where(wide, ya[:, :-1] - slopes * xa[:, :-1], np.inf)
+    slopes = np.zeros_like(xa)
+    np.divide(ya[:, 1:] - ya[:, :-1], dx, out=slopes[:, :-1], where=dx > 0)
+    vals = pts - xa.take(seg)
+    vals *= slopes.take(seg)
+    return np.add(vals, ya.take(seg), out=vals)
 
 
 def dominance_matrix(
@@ -239,12 +245,8 @@ def dominance_matrix(
     per distinct row of xb, each value computed exactly as for a single row,
     and compared against every member's heights.
     """
-    slopes, intercepts = _segment_lines(xa, ya)
     ux, inverse, counts = np.unique(xb, axis=0, return_inverse=True, return_counts=True)
-    vals = np.full((xa.shape[0], ux.shape[0], ux.shape[1]), np.inf)
-    for s in range(slopes.shape[1]):
-        cand = intercepts[:, s, None, None] + slopes[:, s, None, None] * ux[None, :, :]
-        np.minimum(vals, cand, out=vals)
+    vals = _curve_values(xa, ya, ux[None])
     floor = yb - CURVE_TOL
     out = np.empty((xa.shape[0], xb.shape[0]), dtype=bool)
     members = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
@@ -260,6 +262,4 @@ def dominance_diagonal(
     xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray
 ) -> np.ndarray:
     """Boolean vector v[i] = curve A_i dominates curve B_i (paired rows)."""
-    slopes, intercepts = _segment_lines(xa, ya)
-    vals = (intercepts[:, :, None] + slopes[:, :, None] * xb[:, None, :]).min(axis=1)
-    return (vals >= yb - CURVE_TOL).all(axis=1)
+    return (_curve_values(xa, ya, xb) >= yb - CURVE_TOL).all(axis=1)

@@ -40,6 +40,7 @@ from helpers import (
     THERMO_P,
     THERMO_Q,
     exact_thermo_cycle_margin,
+    exact_thermo_margin,
     random_prob,
     suite_uniform_gamma_thermo,
 )
@@ -483,3 +484,59 @@ def test_lorenz_curve_with_tiny_gibbs_weight(p):
     assert all(x0 < x1 for x0, x1 in zip(curve.xs, curve.xs[1:]))
     assert curve_geq(curve, curve)
     assert thermo_majorizes(p, p, g)
+
+
+# Gibbs weights of about 1e-8 to 1e-14 (levels 18 to 32 at beta 1) still move a
+# float running sum, but the slope of a Lorenz segment that narrow, taken from
+# its rounded ends, is off by up to ulp/width; extended as a line across [0, 1]
+# it would undercut a wide neighbour with the same ratio p_i/g_i.
+NARROW_LEVELS = np.linspace(18.0, 32.0, 57)
+
+
+def _agrees_with_exact(verdict: bool, margin) -> bool:
+    """A float verdict matches an exact margin unless that margin sits within
+    rounding of the acceptance edge at -CURVE_TOL."""
+    return abs(margin + CURVE_TOL) < CURVE_TOL / 2 or verdict == (margin >= -CURVE_TOL)
+
+
+def test_narrow_gibbs_weight_ratio_tie_is_reflexive():
+    for e in NARROW_LEVELS:
+        g = gibbs_vector((0.0, 1.0, float(e)), 1.0)
+        _, g1, g2 = g.values
+        p = (0.0, g1 / (g1 + g2), g2 / (g1 + g2))  # thermal on the excited levels
+        assert thermo_majorizes(p, p, g), e
+        curve = lorenz_curve(p, g)  # construction validates the curve
+        assert curve_geq(curve, curve), e
+        gc = gibbs_vector((0.0, float(e)), 1.0)
+        cycle = Cycle((make_prob_vec(gc.values),))
+        assert thermo_flexible_ok(p, p, g, cycle, gc), e
+        assert thermo_flexible_ok(THERMO_P, THERMO_P, gibbs_vector(LEVELS_S, BETA), cycle, gc), e
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_narrow_gibbs_weight_verdicts_match_references(d):
+    rng = np.random.default_rng(500 + d)
+    verdicts = set()
+    for trial in range(40):
+        levels = rng.uniform(0.0, 3.0, d)
+        levels[rng.integers(d)] = rng.choice(NARROW_LEVELS)
+        gs = gibbs_vector(levels, 1.0)
+        p = _tied_state(rng, gs.as_array())
+        q = p if trial % 3 == 0 else _tied_state(rng, gs.as_array())
+        if trial % 3 == 2:
+            q = tuple(0.5 * a + 0.5 * b for a, b in zip(p, gs.values))
+        pv, qv = make_prob_vec(p).values, make_prob_vec(q).values
+        got = thermo_majorizes(p, q, gs)
+        assert got == _ref_thermo_majorizes(pv, qv, gs.values), (p, q, levels)
+        assert _agrees_with_exact(got, exact_thermo_margin(pv, qv, gs.values)), (p, q, levels)
+        verdicts.add(got)
+
+        k = int(rng.integers(2, 4))
+        gc = gibbs_vector(np.append(rng.uniform(0.0, 2.0, k - 1), rng.choice(NARROW_LEVELS)), 1.0)
+        states = [_tied_state(rng, gc.as_array()) for _ in range(int(rng.integers(1, 4)))]
+        cs = [make_prob_vec(c).values for c in states]
+        got = thermo_flexible_ok(p, q, gs, Cycle(tuple(map(make_prob_vec, states))), gc)
+        assert got == _ref_thermo_flexible_ok(pv, qv, gs.values, cs, gc.values), (p, q, states)
+        margin = exact_thermo_cycle_margin(pv, qv, gs.values, gc.values, cs)
+        assert _agrees_with_exact(got, margin), (p, q, states)
+    assert verdicts == {True, False}
