@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadRange, DimensionMismatch, EmptyVector, FlexcatError, NonFiniteEntry
-from .probvec import CMP_TOL, CURVE_TOL, SUM_TOL, Cycle, ProbVec, as_prob_vec, tensor
+from .probvec import CMP_TOL, CURVE_TOL, SUM_TOL, Cycle, ProbVec, as_prob_vec, make_prob_vec, tensor
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,13 @@ def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
 
 
 def as_gibbs_vec(g: ProbVec | Sequence[float]) -> GibbsVec:
-    if isinstance(g, GibbsVec):
-        return g
-    return GibbsVec(as_prob_vec(g).values)
+    """Strictly positive reference; a plain sequence is not clamped (Gibbs weights can be < CLAMP)."""
+    if isinstance(g, ProbVec):
+        return g if isinstance(g, GibbsVec) else GibbsVec(g.values)
+    vals = [float(v) for v in g]
+    make_prob_vec(vals)  # raises on NaN, infinite or negative entries and bad sums
+    total = math.fsum(vals)
+    return GibbsVec(tuple(v / total for v in vals))
 
 
 @dataclass(frozen=True)

@@ -389,6 +389,7 @@ def test_negative_beta_exits_one(argv, capsys):
         ["conjecture", "--trials", "5", "--resolution", "0"],
         ["conjecture", "--trials", "5", "--resolution", "0.6"],
         ["conjecture", "--trials", "5", "--d", "2"],
+        ["conjecture", "--trials", "3", "--seed", "-1"],
         ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "0"],
         ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "0"],
     ],

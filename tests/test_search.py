@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -29,6 +30,8 @@ from flexcat import (
     uniform,
     vidal_probability,
 )
+from flexcat import search
+from flexcat.conditions import endpoint_conditions_ok
 from flexcat.probvec import CMP_TOL
 from flexcat.search import (
     _bool_power,
@@ -36,6 +39,7 @@ from flexcat.search import (
     _min_tail_ratio,
     _prefix_matrix,
     _reconstruct_cycle,
+    _sample_incomparable,
     _standard_margins,
     _tail_matrix,
 )
@@ -301,6 +305,8 @@ def test_sampler_postcondition_and_determinism():
     assert isinstance(a1, SchmidtVec)
     with pytest.raises(WrongDimension):
         sample_incomparable_pair(0, 2)
+    with pytest.raises(BadRange, match="seed must be non-negative"):
+        sample_incomparable_pair(-1, 4)
 
 
 def test_bool_power_and_cycle_reconstruction():
@@ -312,6 +318,15 @@ def test_bool_power_and_cycle_reconstruction():
         [[False, True, False], [False, False, True], [True, False, False]]
     )
     assert _reconstruct_cycle(chain, 3) == [0, 1, 2]
+
+
+def test_bool_power_counts_more_than_256_walks():
+    star = np.zeros((257, 257), dtype=bool)
+    star[0, 1:] = star[1:, 0] = True  # 256 closed walks of length 2 through node 0
+    walks = _bool_power(star, 2)
+    assert walks[0, 0]
+    assert np.diagonal(walks).all()
+    assert _reconstruct_cycle(star, 2) == [0, 1]
 
 
 def test_conjecture_report_is_deterministic():
@@ -340,8 +355,108 @@ def test_conjecture_rejects_unsupported_parameters():
         conjecture_search(1, seed=0, k=3)
     with pytest.raises(BadRange):
         conjecture_search(-1, seed=0)
+    with pytest.raises(BadRange, match="seed must be non-negative"):
+        conjecture_search(3, seed=-1)
     with pytest.raises(WrongDimension):
         conjecture_search(1, seed=0, d=2)
     for resolution in (0.0, -0.1, 0.6, float("nan")):
         with pytest.raises(BadRange):
             conjecture_search(1, seed=0, grid_resolution=resolution)
+
+
+# sha256 of to_json(), recorded before the harness decided trials by the k=2
+# witness theorem (margin refinement on every off-diagonal closed walk)
+PINNED_REPORTS = [
+    # (trials, seed, d, n, resolution, sha256)
+    (300, 0, 4, 2, 0.005, "d4ad356cac38e3d51c5a179616f614bd9cba88628793f1d616793cc257d2d664"),
+    (300, 1, 4, 2, 0.005, "a48f9d77c279868c7e516bcc91bbeb2f0209e8adbe6fcb5e02502a127f32cfed"),
+    (300, 2, 4, 2, 0.005, "d2bd4771574a96cd9e22d57ee20b72548db97593ef02c04c82ba9747e0e25db4"),
+    (300, 3, 4, 2, 0.005, "8bf2c44e44f549fc6049f21b5172ddd09feebcbb0ea484abbe11d0da5863846b"),
+    (300, 4, 4, 2, 0.005, "f039473e309835d225f164c56e835145fa95bf9112db65ec83eb59f818b3a8ed"),
+    (300, 5, 4, 2, 0.005, "341dd2e678061c330df7f9e0c60823a393538bb9248d5a85d4028130662198eb"),
+    (300, 6, 4, 2, 0.005, "ede598ee8a1efaa62b10b57ce873f67102326c0c129a0dfca8853694969e5de0"),
+    (300, 7, 4, 2, 0.005, "ecf1463f367b15840e66ae0afa98f7e23fd8ca03204fa9d76089c355c17f339b"),
+    (100, 0, 3, 1, 0.005, "ba6b7b76d092058c1b738fdb60c4766fb015f34f44d2b94c58e805499a8eaf6b"),
+    (100, 0, 3, 2, 0.005, "7ff8326152a75c255cf6cc361eafc4357b2a8bc0bd40e3e4e30e9a63cdfe4f61"),
+    (100, 0, 3, 3, 0.005, "50d42002963eed9dac18b19fe890d0768691cb9111e1cce77e2f87ba55160234"),
+    (100, 0, 3, 4, 0.005, "d434a9444031dc77e9734e619d9423e8c0aba954841a2a021c64acba3b09b432"),
+    (100, 0, 4, 1, 0.005, "9624fe3efc1c3e17f63c3434a4de1540770091b53b37307f7ac3716d6ea2f4bd"),
+    (100, 0, 4, 2, 0.005, "a4e0190052064be377d5c210a6b5f27dcbf3ea07a36ca799a5f350c136b1d849"),
+    (100, 0, 4, 3, 0.005, "b77e21c4d057ae236690ee2474bb14953a6bcdfbcff8f60ba6e2990fbe2919d2"),
+    (100, 0, 4, 4, 0.005, "b94964bfa619978027697a14f25e5088cda7c512a5e7821e274bd8a39236fba3"),
+    (100, 0, 5, 1, 0.005, "cab32739b8845e67416d3ab497ce46900f6a955777f986becb588607a81330cf"),
+    (100, 0, 5, 2, 0.005, "01b90f1e8a1b7b3aab39ae734dba57e9a6bc4bacb6f173030d9b51c559585498"),
+    (100, 0, 5, 3, 0.005, "362c27845bddfa3637580dfb7b87c7bfc76c871687591ce29bc1452d448a62e3"),
+    (100, 0, 5, 4, 0.005, "940f32e42b1549b7f568e13f553c7ffb1083b961e8e5f4f9717066bea8e066b1"),
+    (100, 0, 6, 1, 0.005, "b2adcf16b4adc7fffc613b4c29a97f0def812adb673cbd212080a5206374664f"),
+    (100, 0, 6, 2, 0.005, "be6d9a5591761aedee13509867c729d62676c31cbe6c4cc3e61a27c151c861fd"),
+    (100, 0, 6, 3, 0.005, "fcbc52e128944e59d69af4a0f53ddd391201c743b9a65ef114f77a8ce7aa9e8c"),
+    (100, 0, 6, 4, 0.005, "f13752a10be5e0b7982c27f03566119c72afcdc2f86ddf9ef70f851441498386"),
+    (200, 3, 5, 2, 0.05, "8225c28a1a5369cee6e92b97aecae99ff46666cffc59f88df1f38121c85b9aad"),
+    (200, 3, 5, 2, 0.02, "b2bb16860fe1be1c108e0507ab6fb4aee75eabc04216378ba1fc5458a8b3ad98"),
+    (200, 3, 5, 2, 0.01, "00f2e27be8f9d66d90b81387f6d697ae5c6ac0a04a0cc25901146a070261d102"),
+]
+
+
+def test_conjecture_reports_are_byte_identical_to_pinned_hashes():
+    for trials, seed, d, n, resolution, sha in PINNED_REPORTS:
+        report = conjecture_search(trials, seed, d=d, grid_resolution=resolution, n=n)
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == sha, (trials, seed, d, n)
+    assert conjecture_search(1000, seed=0).to_json() == (
+        '{"candidates":[],"d":4,"flexible_feasible_trials":25,"k":2,"n":2,'
+        '"raw_pairs_drawn":2767,"resolution":0.005,"seed":0,'
+        '"standard_by_refinement_trials":0,"standard_on_grid_trials":25,"trials":1000}'
+    )
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_unpruned_closed_walks_pass_the_prefilter_and_sit_on_the_diagonal(d):
+    """The full grid and closed-walk test on every trial, with no pruning:
+    no pair the endpoint pre-filter drops has a closed walk, and every
+    closed walk comes with a standard catalyst on the grid diagonal."""
+    cs = np.linspace(0.0, 0.5, 51)
+    walks = 0
+    for n in (2, 3):
+        for trial in range(1250):
+            x, y, _ = _sample_incomparable(np.random.default_rng((d, n, trial)), d)
+            px, py = _prefix_matrix(x.as_array(), cs), _prefix_matrix(y.as_array(), cs)
+            m = _majorization_matrix(px, py)
+            if np.diagonal(_bool_power(m, n)).any():
+                walks += 1
+                assert endpoint_conditions_ok(x, y), (n, trial)
+                assert np.diagonal(m).any(), (n, trial)
+    if d == 3:
+        assert walks == 0  # the d=3 no-go: incomparable pairs never convert
+    else:
+        assert walks > 20
+
+
+def test_conjecture_reports_an_off_diagonal_walk(monkeypatch):
+    """Forces the closed-walk branch that the witness theorem leaves unreachable."""
+
+    def two_cycle(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        m = np.zeros((len(px), len(py)), dtype=bool)
+        m[2, 5] = m[5, 2] = True
+        return m
+
+    monkeypatch.setattr(search, "_majorization_matrix", two_cycle)
+    report = conjecture_search(60, seed=0, d=4, grid_resolution=0.05)
+    cs = np.linspace(0.0, 0.5, 11)
+    kept = [
+        trial
+        for trial in range(60)
+        if endpoint_conditions_ok(*_sample_incomparable(np.random.default_rng((0, trial)), 4)[:2])
+    ]
+    assert kept
+    assert [cand.trial for cand in report.candidates] == kept
+    assert report.flexible_feasible_trials == len(kept)
+    assert report.standard_on_grid_trials == report.standard_by_refinement_trials == 0
+    for cand in report.candidates:
+        assert cand.cycle_weights == (cs[2], cs[5])
+        margins = _standard_margins(
+            _prefix_matrix(np.array(cand.x), cs), _prefix_matrix(np.array(cand.y), cs)
+        )
+        assert cand.best_standard_margin == margins.max()
+        assert cand.best_standard_weight == cs[int(np.argmax(margins))]
+    payload = json.loads(report.to_json())
+    assert payload["candidates"][0]["cycle_weights"] == [cs[2], cs[5]]

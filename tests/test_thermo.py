@@ -486,6 +486,20 @@ def test_lorenz_curve_with_tiny_gibbs_weight(p):
     assert thermo_majorizes(p, p, g)
 
 
+@pytest.mark.parametrize("cast", [list, tuple, np.array])
+def test_plain_gibbs_sequence_keeps_tiny_weights(cast):
+    g = gibbs_vector(TINY_LEVELS_S, 1.0)
+    plain = cast(g.values)
+    assert min(g.values) < 1e-15  # below the clamp of make_prob_vec
+    for p in ((0.5, 0.3, 0.2), (0.6, 0.4, 0.0), THERMO_P):
+        assert thermo_majorizes(p, p, plain) == thermo_majorizes(p, p, g) is True
+    gc = gibbs_vector(LEVELS_C, 1.0)
+    assert gibbs_tensor(plain, list(gc.values)) == gibbs_tensor(g, gc)
+    for bad in ((math.nan, 0.5, 0.5), (0.5, 0.5, 0.0), (0.6, 0.5, -0.1), (0.5, 0.4, 0.05)):
+        with pytest.raises(FlexcatError):
+            thermo_majorizes((0.5, 0.3, 0.2), (0.5, 0.3, 0.2), cast(bad))
+
+
 # Gibbs weights of about 1e-8 to 1e-14 (levels 18 to 32 at beta 1) still move a
 # float running sum, but the slope of a Lorenz segment that narrow, taken from
 # its rounded ends, is off by up to ulp/width; extended as a line across [0, 1]
