@@ -193,7 +193,7 @@ def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
     """
     bits = grid.values.view(np.uint64)
     heads = [f"{v:.6f}," for v in grid.spec.axis1().tolist()]
-    c2 = np.array([f"{v:.6f}," for v in grid.spec.axis2().tolist()], dtype=object)
+    c2 = np.array(heads, dtype=object)  # both weights share one axis
     distinct = np.unique(bits)
     text = np.array([f"{v:.6f}\n" for v in distinct.view(np.float64).tolist()], dtype=object)
     out.write("c1,c2,value\n")

@@ -3,17 +3,17 @@
 Catalysts of dimension 2 are parameterized by a single weight: sorted
 states (1-c, c) with c in [0, 0.5] for majorization searches, and plain
 states (c, 1-c) with c in [0, 1] (ground-level population) in the thermal
-setting. Grid cells are independent pure evaluations, and every kernel runs
-in one thread. The entanglement kernels loop over the 2d tail or prefix
-columns, updating one 2-D buffer per column; on 2 cores one direction of
-the 1001² d=4 scan takes about 30-37 ms, against 89-95 ms for the former
-3-D broadcast chunked over a thread pool. Two threads would save about
-half of that at 1001² but lose at the default 201² grid (about 1.9 ms
-against 1.0-1.4 ms). The thermal kernel evaluates each curve once per
-distinct breakpoint row, and threading it measured no faster at 1001²
-(about 14 ms per direction either way) and slower at 401² (about 5 ms
-against 3.5 ms). The harness tests each trial's endpoint conditions, then
-the grid diagonal, and searches closed walks only if both leave it open.
+setting. A 2-cycle landscape has one weight axis: cell (i, j) needs steps
+x⊗c_i → y⊗c_j and x⊗c_j → y⊗c_i, entries (i, j) and (j, i) of one step
+matrix S, so a scan computes S once and combines it with S.T. Every kernel
+runs in one thread. The entanglement kernels loop over the 2d tail or
+prefix columns, updating one 2-D buffer per column; on 2 cores the 1001²
+d=4 scan takes about 50-62 ms, against 89-95 ms for just one step direction
+as the former 3-D broadcast chunked over a thread pool. The thermal kernel
+evaluates each curve once per distinct breakpoint row; the 1001² scan takes
+about 21 ms, and threads measured no faster at 1001² and slower at 401².
+The harness tests each trial's endpoint conditions, then the grid diagonal,
+and searches closed walks only if both leave it open.
 """
 
 from __future__ import annotations
@@ -51,7 +51,12 @@ from .thermo import (
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis bounds and point counts for a rectangular 2-D scan."""
+    """The one weight axis that both catalyst weights of a 2-cycle landscape share.
+
+    (lo2, hi2, steps2) must repeat (lo1, hi1, steps1). The six fields stay so
+    callers such as perfbench keep building GridSpec(lo, hi, lo, hi, n, n)
+    and counting steps1 * steps2 cells.
+    """
 
     lo1: float
     hi1: float
@@ -61,21 +66,20 @@ class GridSpec:
     steps2: int
 
     def __post_init__(self) -> None:
-        if not (self.lo1 < self.hi1 and self.lo2 < self.hi2):
+        if not self.lo1 < self.hi1:
             raise BadRange("axis bounds must satisfy lo < hi")
-        if self.steps1 < 2 or self.steps2 < 2:
+        if self.steps1 < 2:
             raise BadRange("each axis needs at least 2 grid points")
+        if (self.lo2, self.hi2, self.steps2) != (self.lo1, self.hi1, self.steps1):
+            raise BadRange("both catalyst weights must share one axis")
 
     def axis1(self) -> np.ndarray:
         return np.linspace(self.lo1, self.hi1, self.steps1)
 
-    def axis2(self) -> np.ndarray:
-        return np.linspace(self.lo2, self.hi2, self.steps2)
-
 
 @dataclass(frozen=True)
 class LandscapeGrid:
-    """Row-major scan result: values[i, j] belongs to (axis1[i], axis2[j])."""
+    """Row-major scan result, symmetric from a scan: values[i, j] is cell (axis1[i], axis1[j])."""
 
     spec: GridSpec
     values: np.ndarray
@@ -178,25 +182,31 @@ def per_step_probability(
     return math.prod(factors) ** (1.0 / cycle.n)
 
 
-def _check_ent_range(spec: GridSpec) -> None:
-    if spec.hi1 > 0.5 or spec.hi2 > 0.5:
-        raise BadRange("catalyst weight above 0.5 breaks sortedness of (1-c, c)")
-    if spec.lo1 < 0.0 or spec.lo2 < 0.0:
+def _check_weight_range(spec: GridSpec, hi: float, above: str) -> None:
+    """Reject an axis outside [0, hi]; `above` says what a weight above hi breaks."""
+    if spec.hi1 > hi:
+        raise BadRange(f"catalyst weight above {hi:g} {above}")
+    if spec.lo1 < 0.0:
         raise BadRange("catalyst weight must be non-negative")
+
+
+def _weight_axis(resolution: float) -> np.ndarray:
+    """Sorted-catalyst weights c in [0, 0.5] at the given pitch."""
+    if not 0.0 < resolution <= 0.5:
+        raise BadRange("resolution must lie in (0, 0.5]")
+    return np.linspace(0.0, 0.5, int(round(0.5 / resolution)) + 1)
 
 
 def scan_pflex_landscape(
     x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], spec: GridSpec
 ) -> LandscapeGrid:
     """Per-step probability of the 2-cycle [(1-c1, c1), (1-c2, c2)] on a grid."""
-    _check_ent_range(spec)
+    _check_weight_range(spec, 0.5, "breaks sortedness of (1-c, c)")
     vx = as_schmidt_vec(x).as_array()
     vy = as_schmidt_vec(y).as_array()
-    a1 = spec.axis1()
-    a2 = spec.axis2()
-    p_fwd = _min_tail_ratio(_tail_matrix(vx, a1), _tail_matrix(vy, a2))
-    p_bwd = _min_tail_ratio(_tail_matrix(vx, a2), _tail_matrix(vy, a1))
-    values = np.sqrt(np.clip(p_fwd, 0.0, 1.0) * np.clip(p_bwd, 0.0, 1.0).T)
+    cs = spec.axis1()
+    step = np.clip(_min_tail_ratio(_tail_matrix(vx, cs), _tail_matrix(vy, cs)), 0.0, 1.0)
+    values = np.sqrt(step * step.T)
     return LandscapeGrid(spec, np.clip(values, 0.0, 1.0), "probability")
 
 
@@ -257,11 +267,9 @@ def best_standard(
     x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], resolution: float = 0.0025
 ) -> OptResult:
     """Best constant catalyst (1-c, c): grid scan of c plus local refinement."""
-    if not 0.0 < resolution <= 0.5:
-        raise BadRange("resolution must lie in (0, 0.5]")
+    cs = _weight_axis(resolution)
     vx = as_schmidt_vec(x)
     vy = as_schmidt_vec(y)
-    cs = np.linspace(0.0, 0.5, int(round(0.5 / resolution)) + 1)
     sx = _tail_matrix(vx.as_array(), cs)
     sy = _tail_matrix(vy.as_array(), cs)
     diag = np.clip(_tail_ratio(sx, sy).min(axis=1), 0.0, 1.0)
@@ -291,31 +299,25 @@ def best_flexible(
     vy = as_schmidt_vec(y)
     grid = scan_pflex_landscape(vx, vy, spec)
     flat = int(np.argmax(grid.values))  # ties break at the lowest row-major index
-    i, j = divmod(flat, spec.steps2)
-    a1 = spec.axis1()
-    a2 = spec.axis2()
+    i, j = divmod(flat, spec.steps1)
+    cs = spec.axis1()
 
     def objective(params: Sequence[float]) -> float:
         c1, c2 = params
         cycle = Cycle((SchmidtVec((1.0 - c1, c1)), SchmidtVec((1.0 - c2, c2))))
         return per_step_probability(vx, vy, cycle)
 
-    pitch = max(float(a1[1] - a1[0]), float(a2[1] - a2[0]))
-    bounds = [(spec.lo1, spec.hi1), (spec.lo2, spec.hi2)]
-    params, value, evals = _pattern_search(objective, [float(a1[i]), float(a2[j])], pitch, bounds)
-    # constant cycles lie on the diagonal of a square grid; refining along it
-    # keeps the result from falling below the best constant catalyst there
-    if spec.lo1 == spec.lo2 and spec.hi1 == spec.hi2 and spec.steps1 == spec.steps2:
-        diag_start = int(np.argmax(np.diagonal(grid.values)))
-        diag_params, diag_value, diag_evals = _pattern_search(
-            lambda prm: objective([prm[0], prm[0]]),
-            [float(a1[diag_start])],
-            pitch,
-            [(spec.lo1, spec.hi1)],
-        )
-        evals += diag_evals
-        if diag_value > value:
-            params, value = (diag_params[0], diag_params[0]), diag_value
+    pitch = float(cs[1] - cs[0])
+    bound = (spec.lo1, spec.hi1)
+    params, value, evals = _pattern_search(objective, cs[[i, j]].tolist(), pitch, [bound, bound])
+    # constant cycles lie on the diagonal; refining there keeps the best constant catalyst's value
+    diag_start = int(np.argmax(np.diagonal(grid.values)))
+    diag_params, diag_value, diag_evals = _pattern_search(
+        lambda prm: objective([prm[0], prm[0]]), [float(cs[diag_start])], pitch, [bound]
+    )
+    evals += diag_evals
+    if diag_value > value:
+        params, value = (diag_params[0], diag_params[0]), diag_value
     ordered = tuple(sorted(params, reverse=True))
     return OptResult(ordered, objective(ordered), evals + 1)
 
@@ -357,16 +359,14 @@ def scan_thermo_feasibility(
     spec: GridSpec = DEFAULT_THERMO_GRID,
 ) -> LandscapeGrid:
     """Feasibility (1.0/0.0) of the thermal 2-cycle [(c1, 1-c1), (c2, 1-c2)]."""
+    _check_weight_range(spec, 1.0, "makes a negative population")
     vp, vq, gamma = _thermo_inputs(p, q, levels_s, levels_c, beta)
-    a1 = spec.axis1()
-    a2 = spec.axis2()
-    xp1, yp1 = lorenz_breakpoints_batch(_thermo_rows(vp, a1), gamma)
-    xp2, yp2 = lorenz_breakpoints_batch(_thermo_rows(vp, a2), gamma)
-    xq1, yq1 = lorenz_breakpoints_batch(_thermo_rows(vq, a1), gamma)
-    xq2, yq2 = lorenz_breakpoints_batch(_thermo_rows(vq, a2), gamma)
-
-    feasible = dominance_matrix(xp1, yp1, xq2, yq2) & dominance_matrix(xp2, yp2, xq1, yq1).T
-    return LandscapeGrid(spec, feasible.astype(float), "feasibility")
+    cs = spec.axis1()
+    xp, yp = lorenz_breakpoints_batch(_thermo_rows(vp, cs), gamma)
+    xq, yq = lorenz_breakpoints_batch(_thermo_rows(vq, cs), gamma)
+    step = dominance_matrix(xp, yp, xq, yq)
+    step &= step.T  # numpy buffers the overlapping operand; no second bool grid stays alive
+    return LandscapeGrid(spec, step.astype(float), "feasibility")
 
 
 def scan_thermo_standard(
@@ -381,8 +381,8 @@ def scan_thermo_standard(
 
     Returns a boolean vector over c = linspace(0, 1, num).
     """
+    cs = GridSpec(0.0, 1.0, 0.0, 1.0, num, num).axis1()  # GridSpec's rule: num >= 2
     vp, vq, gamma = _thermo_inputs(p, q, levels_s, levels_c, beta)
-    cs = np.linspace(0.0, 1.0, num)
     xp, yp = lorenz_breakpoints_batch(_thermo_rows(vp, cs), gamma)
     xq, yq = lorenz_breakpoints_batch(_thermo_rows(vq, cs), gamma)
     return dominance_diagonal(xp, yp, xq, yq)
@@ -497,15 +497,13 @@ def conjecture_search(
         raise WrongDimension("only 2-dimensional catalyst grids are implemented")
     if d < 3:
         raise WrongDimension("incomparable pairs need dimension >= 3")
-    if not 0.0 < grid_resolution <= 0.5:
-        raise BadRange("resolution must lie in (0, 0.5]")
+    cs = _weight_axis(grid_resolution)
     if n < 1:
         raise BadRange("cycle length must be at least 1")
     if trials < 0:
         raise BadRange("trials must be non-negative")
     if seed < 0:
         raise BadRange("seed must be non-negative")
-    cs = np.linspace(0.0, 0.5, int(round(0.5 / grid_resolution)) + 1)
     raw_pairs = 0
     standard_grid = 0
     candidates: list[ConjectureCandidate] = []

@@ -31,7 +31,7 @@ from flexcat import (
     vidal_probability,
     violation_indices,
 )
-from flexcat.search import _majorization_matrix, _prefix_matrix, _sample_incomparable
+from flexcat.search import _majorization_matrix, _prefix_matrix, _sample_incomparable, _weight_axis
 
 # frozen instance data used across the suite
 X_DEMO4 = (0.5789, 0.2691, 0.0872, 0.0648)
@@ -151,7 +151,7 @@ def exact_thermo_cycle_margin(p_vals, q_vals, g_s, g_c, states) -> Fraction:
 
 def grid_feasible_pairs(x: SchmidtVec, y: SchmidtVec, resolution: float = 0.005) -> np.ndarray:
     """Index pairs (a, b) with x⊗C_a ≺ y⊗C_b and x⊗C_b ≺ y⊗C_a on the weight grid."""
-    cs = np.linspace(0.0, 0.5, int(round(0.5 / resolution)) + 1)
+    cs = _weight_axis(resolution)
     m = _majorization_matrix(_prefix_matrix(x.as_array(), cs), _prefix_matrix(y.as_array(), cs))
     return np.argwhere(m & m.T)
 
@@ -172,7 +172,7 @@ def discover_feasible_cycles(
 
     Returns a list of (x, y, cycle) with flexible_cycle_ok(x, y, cycle) true.
     """
-    cs = np.linspace(0.0, 0.5, int(round(0.5 / resolution)) + 1)
+    cs = _weight_axis(resolution)
     found = []
     for i in range(max_pairs):
         rng = np.random.default_rng((seed, i))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -179,13 +180,12 @@ def test_scan_fig2_feasibility_csv(tmp_path):
 
 def _reference_csv(grid: LandscapeGrid) -> str:
     """The landscape CSV written cell by cell, as the exporter once did."""
-    a1 = grid.spec.axis1()
-    a2 = grid.spec.axis2()
+    a = grid.spec.axis1()
     out = io.StringIO()
     out.write("c1,c2,value\n")
     for i in range(grid.spec.steps1):
-        for j in range(grid.spec.steps2):
-            out.write(f"{a1[i]:.6f},{a2[j]:.6f},{grid.values[i, j]:.6f}\n")
+        for j in range(grid.spec.steps1):
+            out.write(f"{a[i]:.6f},{a[j]:.6f},{grid.values[i, j]:.6f}\n")
     return out.getvalue()
 
 
@@ -202,13 +202,15 @@ def _fig1_grid(spec: GridSpec) -> LandscapeGrid:
             cli.THERMO_P, cli.THERMO_Q, cli.THERMO_LEVELS_S, cli.THERMO_LEVELS_C,
             cli.THERMO_BETA, DEFAULT_THERMO_GRID,
         ),
+        # not symmetric, so a writer that transposes the grid fails
         lambda: LandscapeGrid(
-            GridSpec(0.0, 1.0, -0.5, 0.25, 3, 4),
+            GridSpec(-0.5, 0.25, -0.5, 0.25, 4, 4),
             np.array(
                 [
                     [-0.0, 0.0, -1e-13, 5e-7],
                     [4.999999e-7, 1.0, math.nan, -0.0],
                     [0.0, 1.0, 5e-7, -1e-13],
+                    [1.0, -0.0, 0.0, 4.999999e-7],
                 ]
             ),
             kind="feasibility",
@@ -221,6 +223,63 @@ def test_landscape_csv_matches_cell_loop(make_grid):
     out = io.StringIO()
     cli._write_landscape_csv(grid, out)
     assert out.getvalue() == _reference_csv(grid)
+
+
+# sha256 of stdout, recorded while each scan still computed its second step
+# direction on a separate weight axis
+PINNED_OUTPUTS = [
+    (
+        "fig1-201",
+        ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y],
+        "a5de9af9c704d92895de3bc67811ebf68d9266ba78a21dcd94a33a77df6160b8",
+    ),
+    (
+        "fig1-401-range",
+        ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "401", "--range", "0.1:0.4"],
+        "cd44bad0e5afbc8f36bff8fde0514502778141dd8309779474dda0393d617c16",
+    ),
+    (
+        "fig2-tiny-weight",
+        ["scan-fig2", "--x", "0.5,0.3,0.2", "--y", "0.6,0.3,0.1", "--levels-s", "0,1,40",
+         "--levels-c", "0,1", "--beta", "1", "--grid", "11"],
+        "515d87c60c2b4ad2a64e9ee343f07669e65eb05634d40525f3803e4ea6c9586a",
+    ),
+    (
+        "reproduce-all",
+        ["reproduce", "--all", "--json"],
+        "abe8a5d330670b758cebf3ef7b797c2c52ac9ac09d40cf1367bc394d8eb2a20d",
+    ),
+    (
+        "best-flexible-201",
+        ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--json"],
+        "109132b782d91066578925954e1b3c7a2b423b0f58707a0aaabbca87c511dffa",
+    ),
+    (
+        "best-flexible-51-range",
+        ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y,
+         "--grid", "51", "--range", "0.1:0.45", "--json"],
+        "8904d724cbbcce7b3eb1bbd7dc614e590dc1cbc4216290c26eb8de1f52bce0d8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, sha", [row[1:] for row in PINNED_OUTPUTS], ids=[row[0] for row in PINNED_OUTPUTS]
+)
+def test_landscape_outputs_match_pinned_hashes(argv, sha, capsys):
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+def test_fig2_export_matches_pinned_hashes(tmp_path):
+    csv, pgm = tmp_path / "fig2.csv", tmp_path / "fig2.pgm"
+    assert run(["scan-fig2", *FIG2, "--out", str(csv), "--pgm", str(pgm)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "033a1f1928a84dd1f005e99c97488df2346ca6b01bb672c2a52d122aeae1566f"
+    )
+    assert hashlib.sha256(pgm.read_bytes()).hexdigest() == (
+        "106f6743aed49208b39902a683b857b38ad40271b13e63d633a7f3a6d409070e"
+    )
 
 
 def test_landscape_csv_file_equals_stdout(tmp_path, capsys):
@@ -392,13 +451,17 @@ def test_negative_beta_exits_one(argv, capsys):
         ["conjecture", "--trials", "3", "--seed", "-1"],
         ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "0"],
         ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "0"],
+        ["scan-fig2", *FIG2, "--range", "0:1.5", "--json"],  # a negative population
+        ["scan-fig2", *FIG2, "--range", "0:inf", "--grid", "3"],
     ],
 )
-def test_bad_search_arguments_exit_one(argv, capsys):
+def test_bad_search_arguments_exit_one(argv, capsys, recwarn):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert len(recwarn) == 0
 
 
 @pytest.mark.parametrize(

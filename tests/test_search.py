@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -59,10 +60,13 @@ from helpers import (
 
 
 def test_grid_spec_validation():
-    with pytest.raises(BadRange):
-        GridSpec(0.5, 0.0, 0.0, 1.0, 10, 10)
-    with pytest.raises(BadRange):
-        GridSpec(0.0, 1.0, 0.0, 1.0, 1, 10)
+    with pytest.raises(BadRange, match="lo < hi"):
+        GridSpec(0.5, 0.0, 0.5, 0.0, 10, 10)
+    with pytest.raises(BadRange, match="at least 2 grid points"):
+        GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1)
+    for lo2, hi2, steps2 in ((0.1, 1.0, 10), (0.0, 0.9, 10), (0.0, 1.0, 11)):
+        with pytest.raises(BadRange, match="share one axis"):
+            GridSpec(0.0, 1.0, lo2, hi2, 10, steps2)
     spec = GridSpec(0.0, 0.5, 0.0, 0.5, 11, 11)
     assert spec.axis1()[0] == 0.0
     assert spec.axis1()[-1] == 0.5
@@ -108,10 +112,10 @@ def test_per_step_reference_standard_weight():
 def test_scan_rejects_ranges_that_break_sortedness():
     x = schmidt(X_DEMO4)
     y = schmidt(Y_DEMO4)
-    with pytest.raises(BadRange):
-        scan_pflex_landscape(x, y, GridSpec(0.0, 0.7, 0.0, 0.5, 5, 5))
-    with pytest.raises(BadRange):
-        scan_pflex_landscape(x, y, GridSpec(-0.1, 0.5, 0.0, 0.5, 5, 5))
+    with pytest.raises(BadRange, match="above 0.5 breaks sortedness"):
+        scan_pflex_landscape(x, y, GridSpec(0.0, 0.7, 0.0, 0.7, 5, 5))
+    with pytest.raises(BadRange, match="must be non-negative"):
+        scan_pflex_landscape(x, y, GridSpec(-0.1, 0.5, -0.1, 0.5, 5, 5))
 
 
 def test_scan_symmetry_and_cell_values():
@@ -242,6 +246,90 @@ def test_thermo_standard_scan_demo_is_empty():
     feas = scan_thermo_standard(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, 1001)
     assert feas.shape == (1001,)
     assert not feas.any()
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.5), (-0.25, 1.0), (0.0, float("inf"))])
+def test_thermo_scan_rejects_weights_outside_unit_interval(lo, hi):
+    with pytest.raises(BadRange, match="catalyst weight"):
+        scan_thermo_feasibility(
+            THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(lo, hi, lo, hi, 3, 3)
+        )
+
+
+@pytest.mark.parametrize("num", [-1, 0, 1])
+def test_thermo_standard_scan_needs_two_points(num):
+    with pytest.raises(BadRange, match="at least 2 grid points"):
+        scan_thermo_standard(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, num)
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    calls = [0]
+    kernel = getattr(search, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(search, name, counted)
+    return calls
+
+
+def test_each_scan_builds_one_step_matrix(monkeypatch):
+    """Both directions of a 2-cycle come from one step matrix and its transpose."""
+    ratio_calls = _count_calls(monkeypatch, "_min_tail_ratio")
+    dominance_calls = _count_calls(monkeypatch, "dominance_matrix")
+    scan_pflex_landscape(schmidt(X_DEMO4), schmidt(Y_DEMO4), GridSpec(0, 0.5, 0, 0.5, 31, 31))
+    scan_thermo_feasibility(
+        THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
+    )
+    assert (ratio_calls, dominance_calls) == ([1], [1])
+
+
+def _random_thermal_system(seed: int):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(3))
+    q = rng.dirichlet(np.ones(3))
+    levels_s = rng.uniform(0.0, 3.0, 3)
+    levels_c = (0.0, float(rng.uniform(0.2, 2.0)))
+    return p, q, levels_s, levels_c, float(rng.uniform(0.3, 2.0))
+
+
+# sha256 of grid.values.tobytes(), recorded while each scan still computed its
+# second step direction on a separate weight axis
+PINNED_THERMAL_SCANS = [
+    # (seed, feasible cells of 1001², sha256)
+    (1, 1891, "7b669b8ec24298af6d2a61e09b4a554c129e640bae7d9e76a822045c8fbf7f51"),
+    (4, 25785, "b2ce9abd1dd22f366ee363a0bf897e7d775c833150807f5aced2c6441eb8b150"),
+    (14, 127247, "d8ba629bd80ff8dc2ec538ec67286a2b264b40d2bcd44a453190a337efae3418"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, cells, sha", PINNED_THERMAL_SCANS, ids=[f"seed{row[0]}" for row in PINNED_THERMAL_SCANS]
+)
+def test_thermal_scans_match_pinned_hashes(seed, cells, sha):
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 1001, 1001)
+    grid = scan_thermo_feasibility(*_random_thermal_system(seed), spec)
+    assert int(grid.values.sum()) == cells
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == sha
+
+
+def test_probability_scans_and_best_flexible_match_pinned_hash():
+    """24 random pairs at d = 3..6 on square grids of 21..81 points inside [0, 0.5]."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(7)
+    for _ in range(24):
+        d = int(rng.integers(3, 7))
+        x = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        y = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        lo, hi = float(rng.uniform(0.0, 0.2)), float(rng.uniform(0.3, 0.5))
+        steps = int(rng.integers(21, 82))
+        spec = GridSpec(lo, hi, lo, hi, steps, steps)
+        result = best_flexible(x, y, spec)
+        digest.update(scan_pflex_landscape(x, y, spec).values.tobytes())
+        digest.update(struct.pack("3d", *result.params, result.value))
+        digest.update(struct.pack("q", result.iterations))
+    assert digest.hexdigest() == "911790ceeb94bb406ab4c7474db22b24bdf7f3aa988f2fb1de648dae7ec4337d"
 
 
 def test_thermo_standard_scan_trivial_transition_is_full():
