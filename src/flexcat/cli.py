@@ -333,11 +333,15 @@ def _cmd_scan_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_catalyst(args: argparse.Namespace) -> int:
+    for name, mode in (("grid", "flexible"), ("range", "flexible"), ("resolution", "standard")):
+        if getattr(args, name) is not None and not getattr(args, mode):
+            raise CliError(f"--{name} applies only to best-catalyst --{mode}")
     inp = _Inputs(args)
     x = sort_desc(make_prob_vec(inp.get("x")))
     y = sort_desc(make_prob_vec(inp.get("y")))
     if args.standard:
-        result = best_standard(x, y, args.resolution)
+        pitch = {} if args.resolution is None else {"resolution": args.resolution}
+        result = best_standard(x, y, **pitch)  # best_standard holds the default pitch
         payload = {"c": result.params[0], "value": result.value, "iterations": result.iterations}
         lines = [f"c {_fmt(result.params[0])}", f"value {_fmt(result.value)}"]
     else:
@@ -546,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = sub.add_mutually_exclusive_group(required=True)
     mode.add_argument("--standard", action="store_true", help="constant catalyst")
     mode.add_argument("--flexible", action="store_true", help="2-cycle of catalysts")
-    sub.add_argument("--resolution", type=float, default=0.0025, help="diagonal scan pitch")
+    sub.add_argument("--resolution", type=float, help="diagonal scan pitch for --standard")
     sub.add_argument("--grid", type=int, help="grid points per axis for --flexible")
     sub.add_argument("--range", help="axis range lo:hi for --flexible")
     sub.set_defaults(func=_cmd_best_catalyst)

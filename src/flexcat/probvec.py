@@ -93,7 +93,10 @@ def make_prob_vec(raw: Iterable[float]) -> ProbVec:
         if v < -CLAMP:
             raise NegativeEntry(f"entry {v} is negative")
     vals = [0.0 if abs(v) <= CLAMP else v for v in vals]
-    total = math.fsum(vals)
+    try:
+        total = math.fsum(vals)
+    except OverflowError:  # a sum beyond the float range is far from 1
+        total = math.inf
     if abs(total - 1.0) > SUM_TOL:
         raise BadNormalization(f"entries sum to {total}, expected 1 within {SUM_TOL}")
     return ProbVec(tuple(v / total for v in vals))

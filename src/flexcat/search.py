@@ -12,8 +12,10 @@ d=4 scan takes about 50-62 ms, against 89-95 ms for just one step direction
 as the former 3-D broadcast chunked over a thread pool. The thermal kernel
 evaluates each curve once per distinct breakpoint row; the 1001² scan takes
 about 21 ms, and threads measured no faster at 1001² and slower at 401².
-The harness tests each trial's endpoint conditions, then the grid diagonal,
-and searches closed walks only if both leave it open.
+The entanglement scans zero-pad as the scalar API does (_step_tails); the
+thermal scans build their step curves in thermo._step_curves. The harness
+tests each trial's endpoint conditions, then the grid diagonal, and
+searches closed walks only if both leave it open.
 """
 
 from __future__ import annotations
@@ -27,26 +29,18 @@ import numpy as np
 
 from .conditions import endpoint_conditions_ok
 from .errors import BadRange, DimensionMismatch, SamplingFailed, WrongDimension
-from .majorize import incomparable, vidal_probability
+from .majorize import _padded, incomparable, vidal_probability
 from .probvec import (
     CMP_TOL,
     PARAM_PRECISION,
     Cycle,
     ProbVec,
     SchmidtVec,
-    as_prob_vec,
     as_schmidt_vec,
     sort_desc,
     tensor,
 )
-from .thermo import (
-    _tensor_rows,
-    dominance_diagonal,
-    dominance_matrix,
-    gibbs_tensor,
-    gibbs_vector,
-    lorenz_breakpoints_batch,
-)
+from .thermo import _step_curves, dominance_diagonal, dominance_matrix, gibbs_vector
 
 
 @dataclass(frozen=True)
@@ -134,6 +128,14 @@ def _tail_matrix(v: np.ndarray, cs: np.ndarray) -> np.ndarray:
     return np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
 
 
+def _step_tails(
+    x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], cs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tail matrices of the steps x⊗(1-c, c) → y⊗(1-c, c), zero-padded as the scalar API pads."""
+    vx, vy = _padded(as_schmidt_vec(x), as_schmidt_vec(y))
+    return _tail_matrix(np.array(vx), cs), _tail_matrix(np.array(vy), cs)
+
+
 def _tail_ratio(sx: np.ndarray, sy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sx / sy (broadcast), inf where the target tail is empty: no constraint."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -202,31 +204,19 @@ def scan_pflex_landscape(
 ) -> LandscapeGrid:
     """Per-step probability of the 2-cycle [(1-c1, c1), (1-c2, c2)] on a grid."""
     _check_weight_range(spec, 0.5, "breaks sortedness of (1-c, c)")
-    vx = as_schmidt_vec(x).as_array()
-    vy = as_schmidt_vec(y).as_array()
-    cs = spec.axis1()
-    step = np.clip(_min_tail_ratio(_tail_matrix(vx, cs), _tail_matrix(vy, cs)), 0.0, 1.0)
+    step = np.clip(_min_tail_ratio(*_step_tails(x, y, spec.axis1())), 0.0, 1.0)
     values = np.sqrt(step * step.T)
     return LandscapeGrid(spec, np.clip(values, 0.0, 1.0), "probability")
 
 
-def _search_directions(dims: int) -> list[tuple[float, ...]]:
-    """Coordinate moves plus, beyond 1-D, the two all-coordinates diagonals.
-
-    The diagonal moves keep the ascent from stalling on ridge-aligned optima
-    (the per-step objective is symmetric in its parameters, so its maxima
-    often sit on such ridges).
-    """
-    directions: list[tuple[float, ...]] = []
-    for i in range(dims):
-        unit = [0.0] * dims
-        unit[i] = 1.0
-        directions.append(tuple(unit))
-        directions.append(tuple(-v for v in unit))
-    if dims > 1:
-        directions.append(tuple([1.0] * dims))
-        directions.append(tuple([-1.0] * dims))
-    return directions
+# Compass moves by parameter count: coordinate moves plus, in 2-D, both
+# all-coordinates diagonals. The diagonals keep the ascent from stalling on
+# ridge-aligned optima (the per-step objective is symmetric in its
+# parameters, so its maxima often sit on such ridges).
+_DIRECTIONS = {
+    1: ((1.0,), (-1.0,)),
+    2: ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0), (-1.0, -1.0)),
+}
 
 
 def _pattern_search(
@@ -240,11 +230,10 @@ def _pattern_search(
     params = [float(v) for v in start]
     value = f(params)
     evals = 1
-    directions = _search_directions(len(params))
     while step > min_step:
         best_val = value
         best = None
-        for direction in directions:
+        for direction in _DIRECTIONS[len(params)]:
             cand = [
                 min(max(p + step * dv, lo), hi)
                 for p, dv, (lo, hi) in zip(params, direction, bounds)
@@ -270,9 +259,7 @@ def best_standard(
     cs = _weight_axis(resolution)
     vx = as_schmidt_vec(x)
     vy = as_schmidt_vec(y)
-    sx = _tail_matrix(vx.as_array(), cs)
-    sy = _tail_matrix(vy.as_array(), cs)
-    diag = np.clip(_tail_ratio(sx, sy).min(axis=1), 0.0, 1.0)
+    diag = np.clip(_tail_ratio(*_step_tails(vx, vy, cs)).min(axis=1), 0.0, 1.0)
     start = int(np.argmax(diag))
 
     def objective(params: Sequence[float]) -> float:
@@ -327,27 +314,20 @@ def best_flexible(
 # ---------------------------------------------------------------------------
 
 
-def _thermo_rows(v: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Rows of v ⊗ (c, 1-c) in composite index order (system major)."""
-    return _tensor_rows(v, np.stack([cs, 1.0 - cs], axis=1))
-
-
-def _thermo_inputs(
+def _scan_curves(
     p: ProbVec | Sequence[float],
     q: ProbVec | Sequence[float],
     levels_s: Sequence[float],
     levels_c: Sequence[float],
     beta: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated state arrays and the composite Gibbs vector of a thermal scan."""
-    vp = as_prob_vec(p).as_array()
-    vq = as_prob_vec(q).as_array()
-    if len(levels_s) != len(vp) or len(vp) != len(vq):
-        raise DimensionMismatch("states and system levels must share dimension")
+    cs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Step curves p ⊗ (c_i, 1-c_i) and q ⊗ (c_j, 1-c_j) of a thermal scan."""
     if len(levels_c) != 2:
         raise DimensionMismatch("catalyst parameterization needs exactly 2 levels")
-    gamma = gibbs_tensor(gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta))
-    return vp, vq, gamma.as_array()
+    states = np.stack([cs, 1.0 - cs], axis=1)
+    gamma_s, gamma_c = gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)
+    return _step_curves(p, q, gamma_s, gamma_c, states, states)
 
 
 def scan_thermo_feasibility(
@@ -360,11 +340,7 @@ def scan_thermo_feasibility(
 ) -> LandscapeGrid:
     """Feasibility (1.0/0.0) of the thermal 2-cycle [(c1, 1-c1), (c2, 1-c2)]."""
     _check_weight_range(spec, 1.0, "makes a negative population")
-    vp, vq, gamma = _thermo_inputs(p, q, levels_s, levels_c, beta)
-    cs = spec.axis1()
-    xp, yp = lorenz_breakpoints_batch(_thermo_rows(vp, cs), gamma)
-    xq, yq = lorenz_breakpoints_batch(_thermo_rows(vq, cs), gamma)
-    step = dominance_matrix(xp, yp, xq, yq)
+    step = dominance_matrix(*_scan_curves(p, q, levels_s, levels_c, beta, spec.axis1()))
     step &= step.T  # numpy buffers the overlapping operand; no second bool grid stays alive
     return LandscapeGrid(spec, step.astype(float), "feasibility")
 
@@ -382,10 +358,7 @@ def scan_thermo_standard(
     Returns a boolean vector over c = linspace(0, 1, num).
     """
     cs = GridSpec(0.0, 1.0, 0.0, 1.0, num, num).axis1()  # GridSpec's rule: num >= 2
-    vp, vq, gamma = _thermo_inputs(p, q, levels_s, levels_c, beta)
-    xp, yp = lorenz_breakpoints_batch(_thermo_rows(vp, cs), gamma)
-    xq, yq = lorenz_breakpoints_batch(_thermo_rows(vq, cs), gamma)
-    return dominance_diagonal(xp, yp, xq, yq)
+    return dominance_diagonal(*_scan_curves(p, q, levels_s, levels_c, beta, cs))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ the dominated curve's breakpoints, interpolating on the segment that holds
 each point, with slack CURVE_TOL (each value sums up to d rounded products).
 A segment of zero width in floats (a Gibbs weight below about e^-37) never
 holds a point; a narrow one's slope, rounded by up to ulp/width, is never
-extended past its ends.
+extended past its ends. Every catalysed check, thermo_flexible_ok and the
+thermal scans in search, builds its step curves in _step_curves.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
     if beta < 0.0:
         raise BadRange("beta must be non-negative")
     emin = min(lv)
+    if not math.isfinite(max(lv) - emin):  # else beta = 0 would give 0 * inf = NaN weights
+        raise BadRange("energy levels must differ by a finite amount")
     weights = [math.exp(-beta * (e - emin)) for e in lv]
     z = math.fsum(weights)
     return GibbsVec(tuple(w / z for w in weights))
@@ -116,17 +119,19 @@ class LorenzCurve:
         return tuple(y for _, y in self.breakpoints)
 
 
+def _same_dim(state: ProbVec, gamma: GibbsVec) -> ProbVec:
+    """The state, once its dimension is checked against its reference."""
+    if state.dim != gamma.dim:
+        raise DimensionMismatch(f"state dim {state.dim} != reference dim {gamma.dim}")
+    return state
+
+
 def _breakpoints(
     gamma: ProbVec | Sequence[float], *states: ProbVec | Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lorenz breakpoints of the states relative to gamma, validating each in turn."""
-    rows = []
-    for state in states:
-        vs = as_prob_vec(state)
-        vg = as_gibbs_vec(gamma)
-        if vs.dim != vg.dim:
-            raise DimensionMismatch(f"state dim {vs.dim} != reference dim {vg.dim}")
-        rows.append(vs.values)
+    vg = as_gibbs_vec(gamma)
+    rows = [_same_dim(as_prob_vec(state), vg).values for state in states]
     return lorenz_breakpoints_batch(np.array(rows), vg.values)
 
 
@@ -168,8 +173,32 @@ def gibbs_tensor(gamma_s: ProbVec | Sequence[float], gamma_c: ProbVec | Sequence
 
 
 def _tensor_rows(v: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Rows v ⊗ states[i], system major; v is one state or one state per row."""
-    return (v[..., :, None] * states[:, None, :]).reshape(len(states), -1)
+    """Rows v ⊗ states[i], system major; a stack of b states v takes b blocks of states."""
+    rows = v[..., None, :, None] * states[..., :, None, :]
+    return rows.reshape(-1, v.shape[-1] * states.shape[-1])
+
+
+def _step_curves(
+    p: ProbVec | Sequence[float],
+    q: ProbVec | Sequence[float],
+    gamma_s: ProbVec | Sequence[float],
+    gamma_c: ProbVec | Sequence[float],
+    src: np.ndarray | Sequence[Sequence[float]],
+    dst: np.ndarray | Sequence[Sequence[float]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lorenz breakpoints (xa, ya, xb, yb) of the catalysed steps p ⊗ src[i] → q ⊗ dst[i].
+
+    Validates the states and references once; all rows take one batch call.
+    """
+    gs, gc = as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)
+    vp, vq = (_same_dim(as_prob_vec(v), gs) for v in (p, q))
+    states = np.array([src, dst], dtype=float)  # (2, m, k): src's rows, then dst's
+    if states.shape[2] != gc.dim:
+        raise DimensionMismatch("cycle states and catalyst reference must share dimension")
+    rows = _tensor_rows(np.array([vp.values, vq.values]), states)
+    x, y = lorenz_breakpoints_batch(rows, gibbs_tensor(gs, gc).values)
+    m = states.shape[1]
+    return x[:m], y[:m], x[m:], y[m:]
 
 
 def thermo_flexible_ok(
@@ -184,21 +213,9 @@ def thermo_flexible_ok(
     Catalyst states are plain distributions indexed by energy level; the
     ratio order relative to gamma_c, not the magnitude order, is what counts.
     """
-    vp = as_prob_vec(p)
-    vq = as_prob_vec(q)
-    gs = as_gibbs_vec(gamma_s)
-    gc = as_gibbs_vec(gamma_c)
-    if vp.dim != gs.dim or vq.dim != gs.dim:
-        raise DimensionMismatch("states and system reference must share dimension")
-    if cycle.k != gc.dim:
-        raise DimensionMismatch("cycle states and catalyst reference must share dimension")
-    n = cycle.n
     states = [c.values for c in cycle.states]
-    rows = _tensor_rows(
-        np.array([vp.values] * n + [vq.values] * n), np.array(states + states[1:] + states[:1])
-    )
-    x, y = lorenz_breakpoints_batch(rows, gibbs_tensor(gs, gc).values)
-    return bool(dominance_diagonal(x[:n], y[:n], x[n:], y[n:]).all())
+    xa, ya, xb, yb = _step_curves(p, q, gamma_s, gamma_c, states, states[1:] + states[:1])
+    return bool(dominance_diagonal(xa, ya, xb, yb).all())
 
 
 def lorenz_breakpoints_batch(rows: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +416,31 @@ def test_non_finite_entry_exits_one(capsys):
         assert captured.err.startswith("error: energy levels must be finite")
 
 
+def test_overflowing_sum_exits_one(capsys):
+    assert run(["vidal", "--x", "1e308,1e308", "--y", "0.5,0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: entries sum to inf, expected 1 within 1e-09\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-thermo"],
+        ["check-thermo", "--levels-c", "0,1", "--cycle", "0.5,0.5;0.4,0.6"],
+        ["scan-fig2", "--levels-c", "0,1", "--grid", "3"],
+    ],
+    ids=["check-thermo", "check-thermo-cycle", "scan-fig2"],
+)
+def test_thermal_dimension_mismatch_has_one_message(argv, capsys):
+    # a 2-entry state against 3 system levels, however the check is reached
+    mismatched = ["--x", "0.6,0.4", "--y", "0.5,0.3,0.2", "--levels-s", "0,1,2", "--beta", "1"]
+    assert run([*argv, *mismatched]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state dim 2 != reference dim 3\n"
+
+
 def test_underflowing_composite_gibbs_weight_exits_one(capsys):
     # e^-400 * e^-400 underflows to 0.0, so there is no valid composite reference
     system = ["--x", "0.5,0.3,0.2", "--y", "0.6,0.3,0.1", "--levels-s", "0,1,400",
@@ -453,6 +480,9 @@ def test_negative_beta_exits_one(argv, capsys):
         ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "0"],
         ["scan-fig2", *FIG2, "--range", "0:1.5", "--json"],  # a negative population
         ["scan-fig2", *FIG2, "--range", "0:inf", "--grid", "3"],
+        ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--range", "0.4:0.5", "--grid", "7"],
+        ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--range", "0.4:0.5"],
+        ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--resolution", "0.3"],
     ],
 )
 def test_bad_search_arguments_exit_one(argv, capsys, recwarn):
@@ -488,3 +518,109 @@ def test_instance_file_rejects_non_list_levels(tmp_path, capsys, command, instan
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+# Pools for the argv fuzz below, each a (valid, invalid) pair: invalid values
+# overflow, are non-finite, empty, malformed or of the wrong dimension.
+# Unequal dimensions are valid for the entanglement commands.
+_BAD_VECTORS = ["1e308,1e308", "1e308,1e-308", "nan,0.5,0.5", "0.5,0.6", "-0.1,1.1", "", "a,b"]
+FUZZ_POOLS = {
+    "vector": (["0.5,0.3,0.2", "0.4,0.3,0.2,0.1", "0.6,0.4", DEMO_X, DEMO_Y, "0.2,0.3,0.5",
+                "1,0,0", "0.5,0.5,0", "1"], _BAD_VECTORS),
+    "state": (["0.5,0.3,0.2", "0.09,0.53,0.38", "0.11,0.75,0.14", "0.2,0.3,0.5", "1,0,0", "0.6,0.3,0.1"],
+              [*_BAD_VECTORS, "0.6,0.4", "0.4,0.3,0.2,0.1"]),
+    "cycle": (["0.8,0.2;0.6,0.4", "0.5,0.5", "1,0;0.5,0.5", "0.7,0.2,0.1;0.6,0.3,0.1"],
+              ["0.7,0.2,0.1;0.6,0.4", "0.2,0.8", "nan,1", "1e308,1e308;0.5,0.5", ";"]),
+    "thermal-cycle": (["0.82,0.18;0.59,0.41", "1,0;0.5,0.5", "0.2,0.8", "0.5,0.5;0.4,0.6;0.3,0.7"],
+                      ["0.7,0.2,0.1;0.6,0.4", "nan,1", "1e308,1e308;0.5,0.5", ";", "0.5,0.3,0.2"]),
+    "levels-s": (["0,1,2", "0,0,0", "0,1,40", "0,2,1"],
+                 ["0,1e308", "-1e308,1e308", "nan,1,2", "", "0,1,2,3", "0,1"]),
+    "levels-c": (["0,1", "0,0", "0,45"], ["0,1,2", "nan,0", "-1e308,1e308", ""]),
+    "beta": (["1", "0", "0.5", "2"], ["-1", "nan", "inf", "1e308"]),
+    "grid": (["2", "3", "7", "11"], ["-1", "0", "1"]),
+    "range": (["0:0.5", "0.1:0.4", "0.2:0.3"], ["0.5:0.1", "0:1.5", "-0.1:0.3", "a:b", "0:inf", "nan:1", "0.2"]),
+    "thermal-range": (["0:1", "0.2:0.9"], ["0.9:0.2", "0:1.5", "-0.1:0.3", "0:inf", "nan:1"]),
+    "resolution": (["0.05", "0.1", "0.25", "0.5"], ["0.6", "0", "-0.1", "nan"]),
+}
+
+
+def _fuzz_argv(rng: np.random.Generator) -> list[str]:
+    """One bounded argv: grid <= 11, trials <= 3, resolution >= 0.05 when valid.
+
+    Options use the --name=value form, so values starting with "-" reach the
+    command. Each value is invalid one time in eight, and an input is left out
+    one time in sixteen.
+    """
+
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    def opt(name, pool=None, required=False):
+        if not required and rng.random() < 1 / 16:
+            return []
+        good, bad = FUZZ_POOLS[pool or name]
+        return [f"--{name}={pick(bad if rng.random() < 1 / 8 else good)}"]
+
+    command = pick(["check-major", "vidal", "check-flex", "check-thermo", "gibbs", "scan-fig1",
+                    "scan-fig2", "best-catalyst", "conditions", "conjecture", "reproduce"])
+    argv: list[str] = []
+    if command in ("check-major", "vidal", "check-flex", "conditions", "scan-fig1", "best-catalyst"):
+        argv = opt("x", "vector") + opt("y", "vector")
+    elif command in ("check-thermo", "scan-fig2"):
+        argv = opt("x", "state") + opt("y", "state") + opt("levels-s") + opt("beta")
+    if command == "check-flex" or (command == "conditions" and rng.random() < 0.5):
+        argv += opt("cycle")
+    elif command == "check-thermo" and rng.random() < 0.5:
+        argv += opt("levels-c") + opt("cycle", "thermal-cycle")
+    elif command == "gibbs":
+        argv = opt("levels-s") + opt("beta")
+    elif command == "scan-fig1":
+        argv += opt("grid", required=True) + (opt("range") if rng.random() < 0.5 else [])
+    elif command == "scan-fig2":
+        argv += opt("levels-c") + opt("grid", required=True)
+        argv += opt("range", "thermal-range") if rng.random() < 0.5 else []
+    elif command == "best-catalyst":
+        if rng.random() < 0.5:
+            argv += ["--flexible", *opt("grid", required=True)]
+            argv += opt("range") if rng.random() < 0.5 else []
+        else:
+            argv += ["--standard", *opt("resolution", required=True)]
+        if rng.random() < 1 / 8:  # an option that only the other mode takes
+            argv.append(pick(["--grid=3", "--range=0:0.5", "--resolution=0.1"]))
+    elif command == "conjecture":
+        argv = [f"--trials={rng.integers(0, 4)}", f"--seed={rng.integers(-1, 6)}",
+                f"--d={rng.integers(1, 7)}", *opt("resolution", required=True)]
+    elif command == "reproduce":
+        argv = [f"--section={pick(['entanglement', 'thermo', 'supplement'])}"]
+    if command != "gibbs" and rng.random() < 0.5:
+        argv.append("--json")
+    return [command, *argv]
+
+
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def test_cli_fuzz_exits_cleanly(capsys):
+    """Seeded argv for every subcommand: exit 0, 1 or 2 and no escaping exception or
+    warning; an exit of 1 prints exactly one stderr line, any other exit prints no
+    stderr and no non-finite number."""
+    rng = np.random.default_rng(20261018)
+    failures = []
+    for _ in range(600):
+        argv = _fuzz_argv(rng)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(argv)
+        except Exception as exc:  # noqa: BLE001 - every escape is a failure to report
+            failures.append((argv, repr(exc)))
+            capsys.readouterr()
+            continue
+        out, err = capsys.readouterr()
+        if code not in (0, 1, 2):
+            failures.append((argv, f"exit {code}"))
+        elif code == 1 and not (err.startswith("error:") and err.count("\n") == 1):
+            failures.append((argv, f"stderr {err!r}"))
+        elif code != 1 and (err or NON_FINITE.search(out)):
+            failures.append((argv, f"exit {code} with stdout {out[:80]!r} and stderr {err!r}"))
+    assert not failures, f"{len(failures)} bad runs, first: {failures[:3]}"

@@ -44,6 +44,11 @@ def test_make_prob_vec_rejects_bad_sum():
         make_prob_vec([0.5, 0.6])
 
 
+def test_make_prob_vec_rejects_sum_beyond_float_range():
+    with pytest.raises(BadNormalization, match="entries sum to inf"):
+        make_prob_vec([1e308, 1e308])
+
+
 def test_make_prob_vec_rejects_empty():
     with pytest.raises(EmptyVector):
         make_prob_vec([])

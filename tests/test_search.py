@@ -31,7 +31,7 @@ from flexcat import (
     uniform,
     vidal_probability,
 )
-from flexcat import search
+from flexcat import search, thermo
 from flexcat.conditions import endpoint_conditions_ok
 from flexcat.probvec import CMP_TOL
 from flexcat.search import (
@@ -49,6 +49,8 @@ from helpers import (
     BETA,
     LEVELS_C,
     LEVELS_S,
+    THERMO_C1,
+    THERMO_C2,
     THERMO_P,
     THERMO_Q,
     X_DEMO4,
@@ -262,15 +264,15 @@ def test_thermo_standard_scan_needs_two_points(num):
         scan_thermo_standard(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, num)
 
 
-def _count_calls(monkeypatch, name: str) -> list[int]:
+def _count_calls(monkeypatch, name: str, module=search) -> list[int]:
     calls = [0]
-    kernel = getattr(search, name)
+    kernel = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(search, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -283,6 +285,61 @@ def test_each_scan_builds_one_step_matrix(monkeypatch):
         THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
     )
     assert (ratio_calls, dominance_calls) == ([1], [1])
+
+
+THERMO_CYCLE = Cycle((make_prob_vec(THERMO_C1), make_prob_vec(THERMO_C2)))
+THERMAL_CHECKS = {
+    "flexible_ok": lambda: thermo_flexible_ok(
+        THERMO_P, THERMO_Q, gibbs_vector(LEVELS_S, BETA), THERMO_CYCLE, gibbs_vector(LEVELS_C, BETA)
+    ),
+    "feasibility": lambda: scan_thermo_feasibility(
+        THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
+    ),
+    "standard": lambda: scan_thermo_standard(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, 31),
+}
+
+
+@pytest.mark.parametrize("check", THERMAL_CHECKS.values(), ids=THERMAL_CHECKS.keys())
+def test_each_thermal_check_builds_its_steps_once(monkeypatch, check):
+    """The scalar check and both scans reach thermo-dominance through one step builder."""
+    builder_calls = _count_calls(monkeypatch, "_step_curves", thermo)
+    scan_builder_calls = _count_calls(monkeypatch, "_step_curves")  # search's imported name
+    batch_calls = _count_calls(monkeypatch, "lorenz_breakpoints_batch", thermo)
+    check()
+    assert (builder_calls[0] + scan_builder_calls[0], batch_calls[0]) == (1, 1)
+
+
+ENTANGLEMENT_SEARCHES = {
+    "landscape": lambda x, y: scan_pflex_landscape(x, y, GridSpec(0.0, 0.5, 0.0, 0.5, 31, 31)),
+    "best_standard": lambda x, y: best_standard(x, y, 0.05),
+    "best_flexible": lambda x, y: best_flexible(x, y, GridSpec(0.0, 0.5, 0.0, 0.5, 31, 31)),
+}
+
+
+@pytest.mark.parametrize("run_search", ENTANGLEMENT_SEARCHES.values(), ids=ENTANGLEMENT_SEARCHES.keys())
+def test_each_entanglement_search_builds_its_tails_once(monkeypatch, run_search):
+    tail_calls = _count_calls(monkeypatch, "_step_tails")
+    run_search(schmidt(X_DEMO4), schmidt(Y_DEMO4))
+    assert tail_calls == [1]
+
+
+def test_unequal_dimension_scans_equal_the_scalar_api():
+    """Scans zero-pad unequal dimensions exactly as per_step_probability does."""
+    rng = np.random.default_rng(8)
+    spec = GridSpec(0.0, 0.5, 0.0, 0.5, 11, 11)
+    cs = spec.axis1()
+    for _ in range(12):
+        dx, dy = rng.choice(np.arange(2, 6), 2, replace=False)
+        first, second = random_sorted(rng, int(dx)), random_sorted(rng, int(dy))
+        for x, y in ((first, second), (second, first)):
+            grid = scan_pflex_landscape(x, y, spec)
+            for i, ci in enumerate(cs):
+                for j, cj in enumerate(cs):
+                    cycle = Cycle((weight_state(ci), weight_state(cj)))
+                    assert grid.values[i, j] == pytest.approx(per_step_probability(x, y, cycle), abs=1e-12)
+            # best_standard's 0.05 axis is the grid's own, so refining keeps the grid's best
+            assert best_standard(x, y, 0.05).value >= np.diagonal(grid.values).max() - 1e-12
+            assert best_flexible(x, y, spec).value >= grid.values.max() - 1e-12
 
 
 def _random_thermal_system(seed: int):

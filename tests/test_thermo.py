@@ -29,8 +29,8 @@ from flexcat import (
     uniform,
 )
 from flexcat.errors import FlexcatError
-from flexcat.search import GridSpec, _thermo_rows, scan_thermo_feasibility
-from flexcat.thermo import CURVE_TOL, dominance_matrix, lorenz_breakpoints_batch
+from flexcat.search import GridSpec, scan_thermo_feasibility
+from flexcat.thermo import CURVE_TOL, _tensor_rows, dominance_matrix, lorenz_breakpoints_batch
 from helpers import (
     BETA,
     LEVELS_C,
@@ -137,6 +137,13 @@ def test_gibbs_rejects_nonfinite_levels(bad):
         gibbs_vector([0.0, bad, 2.0], 1.0)
     with pytest.raises(NonFiniteEntry):
         ThermoContext((bad, 1.0), 0.5)
+
+
+def test_gibbs_rejects_level_spread_beyond_float_range():
+    # at beta = 0 the spread would enter exp() as 0 * inf = NaN
+    for beta in (0.0, 1.0):
+        with pytest.raises(BadRange, match="levels must differ by a finite amount"):
+            gibbs_vector([-1e308, 1e308], beta)
 
 
 def test_gibbs_vec_requires_positive_entries():
@@ -326,6 +333,11 @@ def test_batch_lorenz_matches_scalar():
         assert curve.breakpoints == tuple(_ref_breakpoints(make_prob_vec(rows[i]).values, g.values))
         assert xb[i] == pytest.approx([pt[0] for pt in curve.breakpoints], abs=1e-12)
         assert yb[i] == pytest.approx([pt[1] for pt in curve.breakpoints], abs=1e-12)
+
+
+def _thermo_rows(v, cs):
+    """Scan rows v ⊗ (c, 1-c) for each c, in composite index order (system major)."""
+    return _tensor_rows(v, np.stack([cs, 1.0 - cs], axis=1))
 
 
 def _scan_curves(v, cs, gamma):
