@@ -1,5 +1,7 @@
 """Majorization, thermo-majorization, and flexible-catalyst search tools."""
 
+import importlib
+
 from .conditions import (
     adjacent_ratio_bound_ok,
     boundary_ratios_ok,
@@ -39,8 +41,10 @@ from .majorize import (
 )
 from .probvec import (
     Cycle,
+    GibbsVec,
     ProbVec,
     SchmidtVec,
+    gibbs_vector,
     make_cycle,
     make_prob_vec,
     sort_desc,
@@ -48,32 +52,51 @@ from .probvec import (
     tensor,
     uniform,
 )
-from .search import (
-    ConjectureCandidate,
-    ConjectureReport,
-    GridSpec,
-    LandscapeGrid,
-    OptResult,
-    best_flexible,
-    best_standard,
-    conjecture_search,
-    per_step_probability,
-    sample_incomparable_pair,
-    scan_pflex_landscape,
-    scan_thermo_feasibility,
-    scan_thermo_standard,
-)
-from .thermo import (
-    GibbsVec,
-    LorenzCurve,
-    ThermoContext,
-    curve_geq,
-    gibbs_tensor,
-    gibbs_vector,
-    lorenz_curve,
-    thermo_flexible_ok,
-    thermo_majorizes,
-)
+
+# search and thermo import numpy, so their names are bound on first access
+# (PEP 562): the scalar API and CLI commands start without numpy. The first
+# access binds every such name, and each later one is a plain global lookup.
+_LAZY = {
+    "search": (
+        "ConjectureCandidate",
+        "ConjectureReport",
+        "GridSpec",
+        "LandscapeGrid",
+        "OptResult",
+        "best_flexible",
+        "best_standard",
+        "conjecture_search",
+        "per_step_probability",
+        "sample_incomparable_pair",
+        "scan_pflex_landscape",
+        "scan_thermo_feasibility",
+        "scan_thermo_standard",
+    ),
+    "thermo": (
+        "LorenzCurve",
+        "ThermoContext",
+        "curve_geq",
+        "gibbs_tensor",
+        "lorenz_curve",
+        "thermo_flexible_ok",
+        "thermo_majorizes",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY and not any(name in names for names in _LAZY.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _LAZY.items():
+        # importing a submodule also binds it here, as flexcat.search etc.
+        mod = importlib.import_module(f"{__name__}.{module}")
+        globals().update((n, getattr(mod, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *(n for names in _LAZY.values() for n in names)})
+
 
 __version__ = "0.1.0"
 

@@ -9,6 +9,10 @@ Vectors are passed inline as comma-separated floats or through a JSON
 instance file with keys x, y, levels_s, levels_c, beta, cycle (inline flags
 override the file; unknown keys are rejected). Numeric output uses fixed
 6 decimal places; --json switches any subcommand to a single JSON object.
+
+Only the commands that scan, search, export or compare thermal curves import
+search, thermo and numpy, inside the command, so the scalar checks start in
+pure Python.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .conditions import (
     adjacent_ratio_bound_ok,
@@ -34,21 +37,18 @@ from .majorize import (
     vidal_probability,
     violation_indices,
 )
-from .probvec import Cycle, SchmidtVec, make_prob_vec, sort_desc
-from .search import (
-    DEFAULT_ENT_GRID,
-    DEFAULT_THERMO_GRID,
-    GridSpec,
-    LandscapeGrid,
-    best_flexible,
-    best_standard,
-    conjecture_search,
-    per_step_probability,
-    scan_pflex_landscape,
-    scan_thermo_feasibility,
-    scan_thermo_standard,
+from .probvec import (
+    ENT_GRID_STEPS,
+    THERMO_GRID_STEPS,
+    Cycle,
+    SchmidtVec,
+    gibbs_vector,
+    make_prob_vec,
+    sort_desc,
 )
-from .thermo import gibbs_vector, thermo_flexible_ok, thermo_majorizes
+
+if TYPE_CHECKING:
+    from .search import GridSpec, LandscapeGrid
 
 INSTANCE_KEYS = {"x", "y", "levels_s", "levels_c", "beta", "cycle"}
 
@@ -173,6 +173,8 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 
 
 def _grid_spec(args: argparse.Namespace, default: GridSpec) -> GridSpec:
+    from .search import GridSpec
+
     steps = getattr(args, "grid", None)
     if steps is None:
         steps = default.steps1
@@ -191,6 +193,8 @@ def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
     Values are told apart by their bit pattern, so -0.0 keeps its own text
     ("-0.000000") instead of merging with 0.0.
     """
+    import numpy as np
+
     bits = grid.values.view(np.uint64)
     heads = [f"{v:.6f}," for v in grid.spec.axis1().tolist()]
     c2 = np.array(heads, dtype=object)  # both weights share one axis
@@ -202,6 +206,8 @@ def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
 
 
 def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
+    import numpy as np
+
     vals = grid.values
     lo = float(vals.min())
     hi = float(vals.max())
@@ -275,6 +281,8 @@ def _cmd_check_flex(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_thermo(args: argparse.Namespace) -> int:
+    from .thermo import thermo_flexible_ok, thermo_majorizes
+
     inp = _Inputs(args)
     p = make_prob_vec(inp.get("x"))
     q = make_prob_vec(inp.get("y"))
@@ -283,6 +291,8 @@ def _cmd_check_thermo(args: argparse.Namespace) -> int:
     gamma_s = gibbs_vector(levels_s, beta)
     cycle_states = inp.get("cycle", required=False)
     if cycle_states is None:
+        if args.levels_c is not None:
+            raise CliError("--levels-c applies only to check-thermo --cycle")
         ok = thermo_majorizes(p, q, gamma_s)
         _emit(args, {"thermo_majorizes": ok}, [_fmt_bool(ok)])
         return 0 if ok else 2
@@ -303,7 +313,16 @@ def _cmd_gibbs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_export_with_json(args: argparse.Namespace) -> None:
+    for name in ("out", "pgm"):
+        if args.json and getattr(args, name) is not None:
+            raise CliError(f"--{name} applies only without --json")
+
+
 def _cmd_scan_fig1(args: argparse.Namespace) -> int:
+    from .search import DEFAULT_ENT_GRID, scan_pflex_landscape
+
+    _reject_export_with_json(args)
     inp = _Inputs(args)
     x = sort_desc(make_prob_vec(inp.get("x")))
     y = sort_desc(make_prob_vec(inp.get("y")))
@@ -317,6 +336,9 @@ def _cmd_scan_fig1(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_fig2(args: argparse.Namespace) -> int:
+    from .search import DEFAULT_THERMO_GRID, scan_thermo_feasibility
+
+    _reject_export_with_json(args)
     inp = _Inputs(args)
     p = make_prob_vec(inp.get("x"))
     q = make_prob_vec(inp.get("y"))
@@ -333,6 +355,8 @@ def _cmd_scan_fig2(args: argparse.Namespace) -> int:
 
 
 def _cmd_best_catalyst(args: argparse.Namespace) -> int:
+    from .search import DEFAULT_ENT_GRID, best_flexible, best_standard
+
     for name, mode in (("grid", "flexible"), ("range", "flexible"), ("resolution", "standard")):
         if getattr(args, name) is not None and not getattr(args, mode):
             raise CliError(f"--{name} applies only to best-catalyst --{mode}")
@@ -384,6 +408,8 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
+    from .search import conjecture_search
+
     report = conjecture_search(args.trials, args.seed, args.d, args.resolution)
     if args.json:
         print(report.to_json())
@@ -406,6 +432,16 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 def _reproduce_rows(section: str) -> list[tuple[str, float, float, float]]:
     """(name, expected, computed, tolerance) rows for the requested section."""
+    from .search import (
+        DEFAULT_THERMO_GRID,
+        best_flexible,
+        best_standard,
+        per_step_probability,
+        scan_thermo_feasibility,
+        scan_thermo_standard,
+    )
+    from .thermo import thermo_flexible_ok, thermo_majorizes
+
     rows: list[tuple[str, float, float, float]] = []
     x4 = sort_desc(make_prob_vec(DEMO_X4))
     y4 = sort_desc(make_prob_vec(DEMO_Y4))
@@ -537,12 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("scan-fig1", help="per-step probability landscape (CSV)")
     _add_io_flags(sub, "x", "y")
-    _add_grid_flags(sub, DEFAULT_ENT_GRID.steps1)
+    _add_grid_flags(sub, ENT_GRID_STEPS)
     sub.set_defaults(func=_cmd_scan_fig1)
 
     sub = subs.add_parser("scan-fig2", help="thermal 2-cycle feasibility landscape (CSV)")
     _add_io_flags(sub, "x", "y", "levels")
-    _add_grid_flags(sub, DEFAULT_THERMO_GRID.steps1)
+    _add_grid_flags(sub, THERMO_GRID_STEPS)
     sub.set_defaults(func=_cmd_scan_fig2)
 
     sub = subs.add_parser("best-catalyst", help="optimize the catalyst weight(s)")

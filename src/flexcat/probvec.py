@@ -1,4 +1,4 @@
-"""Validated probability vectors, sorting, tensor products, and tail sums.
+"""Validated probability vectors, Gibbs vectors, sorting, tensor products, and tail sums.
 
 All values are immutable after construction and every operation is a pure
 function, so they can be shared freely across threads.
@@ -9,19 +9,23 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadNormalization,
+    BadRange,
     DimensionMismatch,
     EmptyCycle,
     EmptyVector,
+    FlexcatError,
     IndexOutOfRange,
     NegativeEntry,
     NonFiniteEntry,
     NotSorted,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # All of the package's tolerances. Inputs within SUM_TOL of unit sum are
 # renormalized exactly; comparisons of sums use CMP_TOL. Entries at or below
@@ -32,6 +36,12 @@ CLAMP = 1e-15
 CURVE_TOL = 1e-10  # slack of Lorenz-curve dominance, toward acceptance
 RATIO_TOL = 1e-10  # slack of strict ratio inequalities, toward acceptance
 PARAM_PRECISION = 1e-6  # the optimizers stop once their step falls below it
+
+# Default grid points per weight axis of the entanglement and thermal 2-cycle
+# landscapes. search builds its default grids from them; the CLI help names
+# them without importing search, which imports numpy.
+ENT_GRID_STEPS = 201
+THERMO_GRID_STEPS = 401
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,8 @@ class ProbVec:
         return self.values[i]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np  # here, so the scalar commands start without numpy
+
         return np.asarray(self.values, dtype=float)
 
     def support_size(self) -> int:
@@ -74,6 +86,16 @@ class SchmidtVec(ProbVec):
         for i in range(len(vals) - 1):
             if vals[i] < vals[i + 1]:
                 raise NotSorted(f"entries must be non-increasing, got {vals}")
+
+
+@dataclass(frozen=True)
+class GibbsVec(ProbVec):
+    """ProbVec with strictly positive entries (a valid thermal reference)."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if any(v <= 0.0 for v in self.values):
+            raise FlexcatError("reference distribution must be strictly positive")
 
 
 def make_prob_vec(raw: Iterable[float]) -> ProbVec:
@@ -100,6 +122,28 @@ def make_prob_vec(raw: Iterable[float]) -> ProbVec:
     if abs(total - 1.0) > SUM_TOL:
         raise BadNormalization(f"entries sum to {total}, expected 1 within {SUM_TOL}")
     return ProbVec(tuple(v / total for v in vals))
+
+
+def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
+    """Thermal distribution exp(-beta*E_i)/Z for the given energy levels.
+
+    Weights are computed as exp(-beta*(E_i - E_min)) for numerical stability.
+    """
+    lv = [float(e) for e in levels]
+    if not lv:
+        raise EmptyVector("need at least one energy level")
+    if not all(math.isfinite(e) for e in lv):
+        raise NonFiniteEntry(f"energy levels must be finite, got {lv}")
+    if not math.isfinite(beta):
+        raise BadRange("beta must be finite")
+    if beta < 0.0:
+        raise BadRange("beta must be non-negative")
+    emin = min(lv)
+    if not math.isfinite(max(lv) - emin):  # else beta = 0 would give 0 * inf = NaN weights
+        raise BadRange("energy levels must differ by a finite amount")
+    weights = [math.exp(-beta * (e - emin)) for e in lv]
+    z = math.fsum(weights)
+    return GibbsVec(tuple(w / z for w in weights))
 
 
 def sort_desc(p: ProbVec | Sequence[float]) -> SchmidtVec:

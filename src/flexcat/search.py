@@ -32,15 +32,18 @@ from .errors import BadRange, DimensionMismatch, SamplingFailed, WrongDimension
 from .majorize import _padded, incomparable, vidal_probability
 from .probvec import (
     CMP_TOL,
+    ENT_GRID_STEPS,
     PARAM_PRECISION,
+    THERMO_GRID_STEPS,
     Cycle,
     ProbVec,
     SchmidtVec,
     as_schmidt_vec,
+    gibbs_vector,
     sort_desc,
     tensor,
 )
-from .thermo import _step_curves, dominance_diagonal, dominance_matrix, gibbs_vector
+from .thermo import _step_curves, dominance_diagonal, dominance_matrix
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,8 @@ class OptResult:
     iterations: int
 
 
-DEFAULT_ENT_GRID = GridSpec(0.0, 0.5, 0.0, 0.5, 201, 201)
-DEFAULT_THERMO_GRID = GridSpec(0.0, 1.0, 0.0, 1.0, 401, 401)
+DEFAULT_ENT_GRID = GridSpec(0.0, 0.5, 0.0, 0.5, ENT_GRID_STEPS, ENT_GRID_STEPS)
+DEFAULT_THERMO_GRID = GridSpec(0.0, 1.0, 0.0, 1.0, THERMO_GRID_STEPS, THERMO_GRID_STEPS)
 
 
 # ---------------------------------------------------------------------------

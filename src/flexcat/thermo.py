@@ -1,4 +1,7 @@
-"""Gibbs vectors, thermo-Lorenz curves, and thermo-majorization checks.
+"""Thermo-Lorenz curves and thermo-majorization checks.
+
+GibbsVec and gibbs_vector live in probvec, which needs no numpy, and are
+re-exported here.
 
 A state p is compared against q relative to a strictly positive reference
 distribution gamma. Sorting the ratios p_i/gamma_i non-increasingly and
@@ -22,40 +25,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadRange, DimensionMismatch, EmptyVector, FlexcatError, NonFiniteEntry
-from .probvec import CMP_TOL, CURVE_TOL, SUM_TOL, Cycle, ProbVec, as_prob_vec, make_prob_vec, tensor
-
-
-@dataclass(frozen=True)
-class GibbsVec(ProbVec):
-    """ProbVec with strictly positive entries (a valid thermal reference)."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if any(v <= 0.0 for v in self.values):
-            raise FlexcatError("reference distribution must be strictly positive")
-
-
-def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
-    """Thermal distribution exp(-beta*E_i)/Z for the given energy levels.
-
-    Weights are computed as exp(-beta*(E_i - E_min)) for numerical stability.
-    """
-    lv = [float(e) for e in levels]
-    if not lv:
-        raise EmptyVector("need at least one energy level")
-    if not all(math.isfinite(e) for e in lv):
-        raise NonFiniteEntry(f"energy levels must be finite, got {lv}")
-    if not math.isfinite(beta):
-        raise BadRange("beta must be finite")
-    if beta < 0.0:
-        raise BadRange("beta must be non-negative")
-    emin = min(lv)
-    if not math.isfinite(max(lv) - emin):  # else beta = 0 would give 0 * inf = NaN weights
-        raise BadRange("energy levels must differ by a finite amount")
-    weights = [math.exp(-beta * (e - emin)) for e in lv]
-    z = math.fsum(weights)
-    return GibbsVec(tuple(w / z for w in weights))
+from .errors import DimensionMismatch, FlexcatError
+from .probvec import (
+    CMP_TOL,
+    CURVE_TOL,
+    SUM_TOL,
+    Cycle,
+    GibbsVec,
+    ProbVec,
+    as_prob_vec,
+    gibbs_vector,
+    make_prob_vec,
+    tensor,
+)
 
 
 def as_gibbs_vec(g: ProbVec | Sequence[float]) -> GibbsVec:

@@ -131,6 +131,30 @@ def test_check_thermo_direct_and_cycle(capsys):
     assert (code, captured.out.strip(), captured.err) == (2, "false", "")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-thermo", *FIG2], "--levels-c applies only to check-thermo --cycle"),
+        (["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--json", "--out", "f.csv"],
+         "--out applies only without --json"),
+        (["scan-fig2", *FIG2, "--json", "--pgm", "f.pgm"], "--pgm applies only without --json"),
+    ],
+)
+def test_ignored_option_names_the_flag(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_check_thermo_file_levels_c_without_cycle(tmp_path, capsys):
+    inst = tmp_path / "thermo.json"
+    inst.write_text(json.dumps({"x": [0.09, 0.53, 0.38], "y": [0.11, 0.75, 0.14],
+                                "levels_s": [0, 1, 2], "levels_c": [0, 1], "beta": 1}))
+    assert run(["check-thermo", "--file", str(inst)]) == 2
+    assert capsys.readouterr().out.strip() == "false"
+
+
 def test_gibbs_output(capsys):
     assert run(["gibbs", "--levels-s", "0,1,2", "--beta", "1"]) == 0
     parts = capsys.readouterr().out.strip().split(",")
@@ -483,6 +507,9 @@ def test_negative_beta_exits_one(argv, capsys):
         ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--range", "0.4:0.5", "--grid", "7"],
         ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--range", "0.4:0.5"],
         ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--resolution", "0.3"],
+        ["check-thermo", *FIG2],  # --levels-c without --cycle
+        ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "3", "--json", "--out", "f.csv"],
+        ["scan-fig2", *FIG2, "--grid", "3", "--json", "--pgm", "f.pgm"],
     ],
 )
 def test_bad_search_arguments_exit_one(argv, capsys, recwarn):
