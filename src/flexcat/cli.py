@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -41,8 +42,10 @@ from .probvec import (
     ENT_GRID_STEPS,
     THERMO_GRID_STEPS,
     Cycle,
+    ProbVec,
     SchmidtVec,
     gibbs_vector,
+    make_cycle,
     make_prob_vec,
     sort_desc,
 )
@@ -111,7 +114,7 @@ def _load_instance(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or deep nesting
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{path} must hold a JSON object")
@@ -132,6 +135,8 @@ def _file_value(name: str, raw: object, depth: int):
         if not isinstance(raw, bool):  # JSON true/false would pass float()
             try:
                 return float(raw)
+            except OverflowError:  # an integer past the float range; JSON's 1e400 is inf too
+                return math.inf if raw > 0 else -math.inf
             except (TypeError, ValueError):
                 pass
         raise CliError(f"instance key {name} holds a non-number: {raw!r}")
@@ -163,6 +168,16 @@ class _Inputs:
             raise CliError(f"missing {what}: pass --{flag} or an instance file")
         return None
 
+    def pair(self, sort: bool = True) -> tuple[ProbVec, ProbVec]:
+        """Validated x and y: sorted for the entanglement commands, as given for the thermal ones."""
+        convert = sort_desc if sort else make_prob_vec
+        return convert(self.get("x")), convert(self.get("y"))  # x is validated before y is read
+
+    def cycle(self, states: list | None = None, sort: bool = True) -> Cycle:
+        """Validated catalyst cycle, from the given states or else the required cycle key."""
+        states = self.get("cycle") if states is None else states
+        return make_cycle(sort_desc(s) if sort else s for s in states)
+
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "json", False):
@@ -172,16 +187,17 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
             print(line)
 
 
+def _verdict(args: argparse.Namespace, key: str, ok: bool) -> int:
+    """Emit a checked relation; exit 0 if it holds, else 2."""
+    _emit(args, {key: ok}, [_fmt_bool(ok)])
+    return 0 if ok else 2
+
+
 def _grid_spec(args: argparse.Namespace, default: GridSpec) -> GridSpec:
     from .search import GridSpec
 
-    steps = getattr(args, "grid", None)
-    if steps is None:
-        steps = default.steps1
-    if getattr(args, "range", None):
-        lo, hi = _parse_range(args.range)
-    else:
-        lo, hi = default.lo1, default.hi1
+    steps = default.steps1 if args.grid is None else args.grid
+    lo, hi = _parse_range(args.range) if args.range else (default.lo1, default.hi1)
     return GridSpec(lo, hi, lo, hi, steps, steps)
 
 
@@ -253,62 +269,42 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
 
 
 def _cmd_check_major(args: argparse.Namespace) -> int:
-    inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.get("x")))
-    y = sort_desc(make_prob_vec(inp.get("y")))
-    ok = is_majorized_by(x, y)
-    _emit(args, {"majorized": ok}, [_fmt_bool(ok)])
-    return 0 if ok else 2
+    return _verdict(args, "majorized", is_majorized_by(*_Inputs(args).pair()))
 
 
 def _cmd_vidal(args: argparse.Namespace) -> int:
-    inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.get("x")))
-    y = sort_desc(make_prob_vec(inp.get("y")))
-    p = vidal_probability(x, y)
+    p = vidal_probability(*_Inputs(args).pair())
     _emit(args, {"probability": p}, [_fmt(p)])
     return 0
 
 
 def _cmd_check_flex(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.get("x")))
-    y = sort_desc(make_prob_vec(inp.get("y")))
-    cycle = Cycle(tuple(sort_desc(make_prob_vec(s)) for s in inp.get("cycle")))
-    ok = flexible_cycle_ok(x, y, cycle)
-    _emit(args, {"feasible": ok}, [_fmt_bool(ok)])
-    return 0 if ok else 2
+    x, y = inp.pair()
+    return _verdict(args, "feasible", flexible_cycle_ok(x, y, inp.cycle()))
 
 
 def _cmd_check_thermo(args: argparse.Namespace) -> int:
     from .thermo import thermo_flexible_ok, thermo_majorizes
 
     inp = _Inputs(args)
-    p = make_prob_vec(inp.get("x"))
-    q = make_prob_vec(inp.get("y"))
+    p, q = inp.pair(sort=False)
     beta = inp.get("beta")
-    levels_s = inp.get("levels_s")
-    gamma_s = gibbs_vector(levels_s, beta)
+    gamma_s = gibbs_vector(inp.get("levels_s"), beta)
     cycle_states = inp.get("cycle", required=False)
     if cycle_states is None:
         if args.levels_c is not None:
             raise CliError("--levels-c applies only to check-thermo --cycle")
-        ok = thermo_majorizes(p, q, gamma_s)
-        _emit(args, {"thermo_majorizes": ok}, [_fmt_bool(ok)])
-        return 0 if ok else 2
-    levels_c = inp.get("levels_c")
-    gamma_c = gibbs_vector(levels_c, beta)
-    cycle = Cycle(tuple(make_prob_vec(s) for s in cycle_states))
-    ok = thermo_flexible_ok(p, q, gamma_s, cycle, gamma_c)
-    _emit(args, {"feasible": ok}, [_fmt_bool(ok)])
-    return 0 if ok else 2
+        return _verdict(args, "thermo_majorizes", thermo_majorizes(p, q, gamma_s))
+    # the states are converted only after levels_c is read: a missing levels_c is reported first
+    gamma_c = gibbs_vector(inp.get("levels_c"), beta)
+    cycle = inp.cycle(cycle_states, sort=False)
+    return _verdict(args, "feasible", thermo_flexible_ok(p, q, gamma_s, cycle, gamma_c))
 
 
 def _cmd_gibbs(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    levels = inp.get("levels_s")
-    beta = inp.get("beta")
-    g = gibbs_vector(levels, beta)
+    g = gibbs_vector(inp.get("levels_s"), inp.get("beta"))
     _emit(args, {"gibbs": list(g.values)}, [",".join(_fmt(v) for v in g.values)])
     return 0
 
@@ -323,9 +319,7 @@ def _cmd_scan_fig1(args: argparse.Namespace) -> int:
     from .search import DEFAULT_ENT_GRID, scan_pflex_landscape
 
     _reject_export_with_json(args)
-    inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.get("x")))
-    y = sort_desc(make_prob_vec(inp.get("y")))
+    x, y = _Inputs(args).pair()
     spec = _grid_spec(args, DEFAULT_ENT_GRID)
     grid = scan_pflex_landscape(x, y, spec)
     if args.json:
@@ -340,8 +334,7 @@ def _cmd_scan_fig2(args: argparse.Namespace) -> int:
 
     _reject_export_with_json(args)
     inp = _Inputs(args)
-    p = make_prob_vec(inp.get("x"))
-    q = make_prob_vec(inp.get("y"))
+    p, q = inp.pair(sort=False)
     spec = _grid_spec(args, DEFAULT_THERMO_GRID)
     grid = scan_thermo_feasibility(
         p, q, inp.get("levels_s"), inp.get("levels_c"), inp.get("beta"), spec
@@ -360,41 +353,27 @@ def _cmd_best_catalyst(args: argparse.Namespace) -> int:
     for name, mode in (("grid", "flexible"), ("range", "flexible"), ("resolution", "standard")):
         if getattr(args, name) is not None and not getattr(args, mode):
             raise CliError(f"--{name} applies only to best-catalyst --{mode}")
-    inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.get("x")))
-    y = sort_desc(make_prob_vec(inp.get("y")))
+    x, y = _Inputs(args).pair()
     if args.standard:
         pitch = {} if args.resolution is None else {"resolution": args.resolution}
         result = best_standard(x, y, **pitch)  # best_standard holds the default pitch
-        payload = {"c": result.params[0], "value": result.value, "iterations": result.iterations}
-        lines = [f"c {_fmt(result.params[0])}", f"value {_fmt(result.value)}"]
     else:
-        spec = _grid_spec(args, DEFAULT_ENT_GRID)
-        result = best_flexible(x, y, spec)
-        payload = {
-            "c1": result.params[0],
-            "c2": result.params[1],
-            "value": result.value,
-            "iterations": result.iterations,
-        }
-        lines = [
-            f"c1 {_fmt(result.params[0])}",
-            f"c2 {_fmt(result.params[1])}",
-            f"value {_fmt(result.value)}",
-        ]
-    _emit(args, payload, lines)
+        result = best_flexible(x, y, _grid_spec(args, DEFAULT_ENT_GRID))
+    names = ("c",) if args.standard else ("c1", "c2")
+    shown = {**dict(zip(names, result.params)), "value": result.value}
+    lines = [f"{key} {_fmt(v)}" for key, v in shown.items()]
+    _emit(args, {**shown, "iterations": result.iterations}, lines)
     return 0
 
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
     inp = _Inputs(args)
-    x = sort_desc(make_prob_vec(inp.get("x")))
-    y = sort_desc(make_prob_vec(inp.get("y")))
+    x, y = inp.pair()
     report = violation_indices(x, y)
     checks: dict[str, bool] = {"endpoint_conditions": endpoint_conditions_ok(x, y)}
     cycle_states = inp.get("cycle", required=False)
     if cycle_states is not None:
-        cycle = Cycle(tuple(sort_desc(make_prob_vec(s)) for s in cycle_states))
+        cycle = inp.cycle(cycle_states)
         checks["boundary_ratios"] = boundary_ratios_ok(x, y, cycle)
         checks["support_size_uniform"] = support_size_uniform(cycle)
         if not report.empty:
@@ -416,10 +395,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     else:
         print(f"trials {report.trials}")
         print(f"flexible_feasible {report.flexible_feasible_trials}")
-        print(
-            "standard_found "
-            f"{report.standard_on_grid_trials + report.standard_by_refinement_trials}"
-        )
+        standard = report.standard_on_grid_trials + report.standard_by_refinement_trials
+        print(f"standard_found {standard}")
         print(f"candidates {len(report.candidates)}")
         for cand in report.candidates:
             print(
@@ -443,8 +420,8 @@ def _reproduce_rows(section: str) -> list[tuple[str, float, float, float]]:
     from .thermo import thermo_flexible_ok, thermo_majorizes
 
     rows: list[tuple[str, float, float, float]] = []
-    x4 = sort_desc(make_prob_vec(DEMO_X4))
-    y4 = sort_desc(make_prob_vec(DEMO_Y4))
+    x4 = sort_desc(DEMO_X4)
+    y4 = sort_desc(DEMO_Y4)
     if section in ("entanglement", "all"):
         rows.append(("base_probability", 0.5857, vidal_probability(x4, y4), 1e-4))
         std = best_standard(x4, y4)
@@ -465,7 +442,7 @@ def _reproduce_rows(section: str) -> list[tuple[str, float, float, float]]:
         q = make_prob_vec(THERMO_Q)
         rows.append(("thermo_direct_fails", 0.0, float(thermo_majorizes(p, q, gamma)), 0.5))
         gamma_c = gibbs_vector(THERMO_LEVELS_C, THERMO_BETA)
-        cycle = Cycle((make_prob_vec(THERMO_C1), make_prob_vec(THERMO_C2)))
+        cycle = make_cycle((THERMO_C1, THERMO_C2))
         ok = thermo_flexible_ok(p, q, gamma, cycle, gamma_c)
         rows.append(("thermo_cycle_feasible", 1.0, float(ok), 0.5))
         diag = scan_thermo_standard(p, q, THERMO_LEVELS_S, THERMO_LEVELS_C, THERMO_BETA, 1001)
@@ -475,8 +452,8 @@ def _reproduce_rows(section: str) -> list[tuple[str, float, float, float]]:
         )
         rows.append(("thermo_degenerate_feasible_cells", 0.0, float(degen.values.sum()), 0.5))
     if section in ("supplement", "all"):
-        xa = sort_desc(make_prob_vec(ALT_X4))
-        ya = sort_desc(make_prob_vec(ALT_Y4))
+        xa = sort_desc(ALT_X4)
+        ya = sort_desc(ALT_Y4)
         report = violation_indices(xa, ya)
         rows.append(("violation_index", 2.0, float(min(report.indices)), 0.5))
         rows.append(("violation_count", 1.0, float(len(report.indices)), 0.5))
@@ -484,9 +461,9 @@ def _reproduce_rows(section: str) -> list[tuple[str, float, float, float]]:
         rows.append(
             ("adjacent_threshold", 2.673, min(ya_vals[0] / ya_vals[1], ya_vals[2] / ya_vals[3]), 1e-3)
         )
-        c2 = sort_desc(make_prob_vec(ALT_C2))
+        c2 = sort_desc(ALT_C2)
         rows.append(("second_state_adjacent_ratio", 2.833, c2.values[1] / c2.values[2], 1e-3))
-        cycle = Cycle((sort_desc(make_prob_vec(ALT_C1)), c2))
+        cycle = Cycle((sort_desc(ALT_C1), c2))
         rows.append(("cycle_feasible", 1.0, float(flexible_cycle_ok(xa, ya, cycle)), 0.5))
         rows.append(
             ("second_state_breaks_adjacent_bound", 0.0, float(adjacent_ratio_bound_ok(c2, ya, report)), 0.5)
@@ -544,56 +521,44 @@ def _add_grid_flags(sub: argparse.ArgumentParser, default_steps: int) -> None:
     sub.add_argument("--pgm", help="also write an 8-bit grayscale PGM image")
 
 
+# Subcommands built from the shared flags alone, in --help order: (name, help,
+# handler, _add_io_flags names, default --grid steps or None for no grid flags).
+# best-catalyst's row gives only its I/O flags; build_parser adds its modes.
+_IO_COMMANDS = (
+    ("check-major", "is x majorized by y?", _cmd_check_major, ("x", "y"), None),
+    ("vidal", "stochastic conversion probability x -> y", _cmd_vidal, ("x", "y"), None),
+    ("check-flex", "does a catalyst cycle convert x -> y?", _cmd_check_flex, ("x", "y", "cycle"), None),
+    ("check-thermo", "thermo-majorization, optionally with a cycle", _cmd_check_thermo,
+     ("x", "y", "cycle", "levels"), None),
+    ("gibbs", "thermal distribution of energy levels", _cmd_gibbs, ("levels",), None),
+    ("scan-fig1", "per-step probability landscape (CSV)", _cmd_scan_fig1, ("x", "y"), ENT_GRID_STEPS),
+    ("scan-fig2", "thermal 2-cycle feasibility landscape (CSV)", _cmd_scan_fig2,
+     ("x", "y", "levels"), THERMO_GRID_STEPS),
+    ("best-catalyst", "optimize the catalyst weight(s)", _cmd_best_catalyst, ("x", "y"), None),
+    ("conditions", "necessary-condition predicates for x -> y", _cmd_conditions, ("x", "y", "cycle"), None),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexcat",
         description="Majorization, thermo-majorization, and flexible-catalyst searches.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, text, func, io_flags, grid_steps in _IO_COMMANDS:
+        sub = subs.add_parser(name, help=text)
+        _add_io_flags(sub, *io_flags)
+        if grid_steps:
+            _add_grid_flags(sub, grid_steps)
+        sub.set_defaults(func=func)
 
-    sub = subs.add_parser("check-major", help="is x majorized by y?")
-    _add_io_flags(sub, "x", "y")
-    sub.set_defaults(func=_cmd_check_major)
-
-    sub = subs.add_parser("vidal", help="stochastic conversion probability x -> y")
-    _add_io_flags(sub, "x", "y")
-    sub.set_defaults(func=_cmd_vidal)
-
-    sub = subs.add_parser("check-flex", help="does a catalyst cycle convert x -> y?")
-    _add_io_flags(sub, "x", "y", "cycle")
-    sub.set_defaults(func=_cmd_check_flex)
-
-    sub = subs.add_parser("check-thermo", help="thermo-majorization, optionally with a cycle")
-    _add_io_flags(sub, "x", "y", "cycle", "levels")
-    sub.set_defaults(func=_cmd_check_thermo)
-
-    sub = subs.add_parser("gibbs", help="thermal distribution of energy levels")
-    _add_io_flags(sub, "levels")
-    sub.set_defaults(func=_cmd_gibbs)
-
-    sub = subs.add_parser("scan-fig1", help="per-step probability landscape (CSV)")
-    _add_io_flags(sub, "x", "y")
-    _add_grid_flags(sub, ENT_GRID_STEPS)
-    sub.set_defaults(func=_cmd_scan_fig1)
-
-    sub = subs.add_parser("scan-fig2", help="thermal 2-cycle feasibility landscape (CSV)")
-    _add_io_flags(sub, "x", "y", "levels")
-    _add_grid_flags(sub, THERMO_GRID_STEPS)
-    sub.set_defaults(func=_cmd_scan_fig2)
-
-    sub = subs.add_parser("best-catalyst", help="optimize the catalyst weight(s)")
-    _add_io_flags(sub, "x", "y")
+    sub = subs.choices["best-catalyst"]  # its mode flags follow its I/O flags
     mode = sub.add_mutually_exclusive_group(required=True)
     mode.add_argument("--standard", action="store_true", help="constant catalyst")
     mode.add_argument("--flexible", action="store_true", help="2-cycle of catalysts")
     sub.add_argument("--resolution", type=float, help="diagonal scan pitch for --standard")
     sub.add_argument("--grid", type=int, help="grid points per axis for --flexible")
     sub.add_argument("--range", help="axis range lo:hi for --flexible")
-    sub.set_defaults(func=_cmd_best_catalyst)
-
-    sub = subs.add_parser("conditions", help="necessary-condition predicates for x -> y")
-    _add_io_flags(sub, "x", "y", "cycle")
-    sub.set_defaults(func=_cmd_conditions)
 
     sub = subs.add_parser("conjecture", help="random-instance search for flexible-only cases")
     sub.add_argument("--trials", type=int, default=1000)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
@@ -67,6 +68,8 @@ class GridSpec:
             raise BadRange("axis bounds must satisfy lo < hi")
         if self.steps1 < 2:
             raise BadRange("each axis needs at least 2 grid points")
+        if self.steps1 > math.isqrt(sys.maxsize):  # else numpy cannot size the square grid
+            raise BadRange(f"each axis takes at most {math.isqrt(sys.maxsize)} grid points")
         if (self.lo2, self.hi2, self.steps2) != (self.lo1, self.hi1, self.steps1):
             raise BadRange("both catalyst weights must share one axis")
 
@@ -199,7 +202,8 @@ def _weight_axis(resolution: float) -> np.ndarray:
     """Sorted-catalyst weights c in [0, 0.5] at the given pitch."""
     if not 0.0 < resolution <= 0.5:
         raise BadRange("resolution must lie in (0, 0.5]")
-    return np.linspace(0.0, 0.5, int(round(0.5 / resolution)) + 1)
+    steps = round(min(0.5 / resolution, sys.maxsize)) + 1  # 0.5 / 5e-324 is inf
+    return GridSpec(0.0, 0.5, 0.0, 0.5, steps, steps).axis1()
 
 
 def scan_pflex_landscape(

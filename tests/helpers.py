@@ -149,6 +149,24 @@ def exact_thermo_cycle_margin(p_vals, q_vals, g_s, g_c, states) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def two_cycle_walk(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Stand-in for search._majorization_matrix whose only closed walk is the
+    off-diagonal 2-cycle between weights 2 and 5, a branch that the k=2 witness
+    theorem leaves unreachable."""
+    m = np.zeros((len(px), len(py)), dtype=bool)
+    m[2, 5] = m[5, 2] = True
+    return m
+
+
+def endpoint_kept_trials(trials: int, seed: int, d: int) -> list[int]:
+    """The trials of conjecture_search(trials, seed, d) that pass its endpoint pre-filter."""
+    return [
+        trial
+        for trial in range(trials)
+        if endpoint_conditions_ok(*_sample_incomparable(np.random.default_rng((seed, trial)), d)[:2])
+    ]
+
+
 def grid_feasible_pairs(x: SchmidtVec, y: SchmidtVec, resolution: float = 0.005) -> np.ndarray:
     """Index pairs (a, b) with x⊗C_a ≺ y⊗C_b and x⊗C_b ≺ y⊗C_a on the weight grid."""
     cs = _weight_axis(resolution)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flexcat import cli
+from flexcat import cli, search
 from flexcat.cli import run
 from flexcat.search import (
     DEFAULT_ENT_GRID,
@@ -26,7 +26,7 @@ from flexcat.search import (
     scan_pflex_landscape,
     scan_thermo_feasibility,
 )
-from helpers import X_DEMO4, Y_DEMO4, schmidt
+from helpers import X_DEMO4, Y_DEMO4, endpoint_kept_trials, schmidt, two_cycle_walk
 
 DEMO_X = ",".join(str(v) for v in X_DEMO4)
 DEMO_Y = ",".join(str(v) for v in Y_DEMO4)
@@ -308,6 +308,174 @@ def test_fig2_export_matches_pinned_hashes(tmp_path):
     )
 
 
+MATRIX_FILES = {
+    "pair.json": json.dumps({"x": list(X_DEMO4), "y": list(Y_DEMO4)}),
+    "thermo.json": json.dumps({"x": [0.09, 0.53, 0.38], "y": [0.11, 0.75, 0.14], "levels_s": [0, 1, 2],
+                               "levels_c": [0, 1], "beta": 1, "cycle": [[0.82, 0.18], [0.59, 0.41]]}),
+    "flex.json": json.dumps({"x": [0.5064, 0.2565, 0.1401, 0.0970], "y": [0.5474, 0.2048, 0.1903, 0.0575],
+                             "cycle": [[0.6333, 0.2667, 0.1], [0.6167, 0.2833, 0.1]]}),
+    "array.json": "[0.5, 0.5]",
+    "broken.json": '{"x": [0.5,',
+    "unknown.json": json.dumps({"x": [0.5, 0.5], "y": [1, 0], "zeta": 1}),
+    "levels.json": json.dumps({"levels_s": 3, "beta": 1}),
+    "beta.json": json.dumps({"levels_s": [0, 1], "beta": [1]}),
+    "bools.json": json.dumps({"x": [True, False], "y": [0.5, 0.5]}),
+    "flat-cycle.json": json.dumps({"x": [1, 0], "y": [1, 0], "cycle": [1, 0]}),
+}
+_ALT = ["--x", "0.5064,0.2565,0.1401,0.0970", "--y", "0.5474,0.2048,0.1903,0.0575"]
+_ALT_CYCLE = "0.6333,0.2667,0.1;0.6167,0.2833,0.1"
+_DEMO = ["--x", DEMO_X, "--y", DEMO_Y]
+_THERMO = FIG2[:6] + ["--beta", "1"]  # x, y, levels-s and beta, no levels-c
+_COMMANDS = ["check-major", "vidal", "check-flex", "check-thermo", "gibbs", "scan-fig1", "scan-fig2",
+             "best-catalyst", "conditions", "conjecture", "reproduce"]
+# Each runs as given and with --json appended.
+_MATRIX_RUNS = [
+    ["check-major", "--x", "0.5,0.5", "--y", "1,0"],
+    ["check-major", "--x", "1,0", "--y", "0.5,0.5"],
+    ["vidal", *_DEMO],
+    ["vidal", "--x", "0.5,0.3,0.2", "--y", "0.4,0.3,0.2,0.1"],
+    ["check-flex", *_ALT, "--cycle", _ALT_CYCLE],
+    ["check-flex", *_DEMO, "--cycle", "0.9,0.1;0.8,0.2"],
+    ["check-thermo", *_THERMO],
+    ["check-thermo", *FIG2, "--cycle", "0.82,0.18;0.59,0.41"],
+    ["gibbs", "--levels-s", "0,1,2", "--beta", "1"],
+    ["scan-fig1", *_DEMO, "--grid", "5"],
+    ["scan-fig1", "--x", "0.5,0.3,0.2", "--y", "0.4,0.3,0.2,0.1", "--grid", "3", "--range", "0.1:0.4"],
+    ["scan-fig2", *FIG2, "--grid", "5"],
+    ["scan-fig2", *FIG2, "--grid", "7", "--range", "0.2:0.9"],
+    ["best-catalyst", "--standard", *_DEMO],
+    ["best-catalyst", "--standard", *_DEMO, "--resolution", "0.05"],
+    ["best-catalyst", "--flexible", *_DEMO, "--grid", "21", "--range", "0.1:0.45"],
+    ["conditions", *_ALT, "--cycle", _ALT_CYCLE],
+    ["conditions", *_DEMO],
+    ["conjecture", "--trials", "20", "--seed", "3", "--d", "3", "--resolution", "0.05"],
+    ["reproduce", "--section", "supplement"],
+    ["reproduce", "--all"],
+    ["vidal", "--file", "pair.json"],
+    ["vidal", "--file", "pair.json", "--x", "0.5,0.5", "--y", "0.5,0.5"],
+    ["check-flex", "--file", "flex.json"],
+    ["conditions", "--file", "flex.json"],
+    ["check-thermo", "--file", "thermo.json"],
+    ["gibbs", "--file", "thermo.json"],
+    ["scan-fig2", "--file", "thermo.json", "--grid", "3"],
+]
+# Run once each: help texts, each documented error, and two invalid inputs at once.
+_MATRIX_ONCE = [
+    ["--help"],
+    *([command, "--help"] for command in _COMMANDS),
+    [],
+    ["no-such-command"],
+    ["best-catalyst", *_DEMO],
+    ["vidal", *_DEMO, "--grid", "3"],
+    ["scan-fig1", *_DEMO, "--grid", "x"],
+    ["reproduce", "--section", "nope"],
+    ["check-major", "--x", "0.5,0.6", "--y", "1,0"],
+    ["vidal", "--x", "abc", "--y", "1,0"],
+    ["vidal", "--x", "0.5,0.5"],
+    ["vidal", "--y", "0.5,0.5"],
+    ["vidal", "--x", "nan,0.5,0.5", "--y", "0.5,0.5"],
+    ["vidal", "--x", "1e308,1e308", "--y", "0.5,0.5"],
+    ["vidal", "--x=-0.1,1.1", "--y", "1"],
+    ["vidal", "--x", "", "--y", "1"],
+    ["check-flex", *_DEMO],
+    ["check-flex", *_DEMO, "--cycle", ";"],
+    ["check-flex", *_DEMO, "--cycle", "0.7,0.2,0.1;0.6,0.4"],
+    ["check-flex", *_DEMO, "--cycle", "0.5,b"],
+    ["check-thermo", *FIG2],
+    ["check-thermo", *_THERMO, "--cycle", "0.82,0.18;0.59,0.41"],
+    ["check-thermo", "--x", "0.6,0.4", "--y", "0.5,0.3,0.2", "--levels-s", "0,1,2", "--beta", "1"],
+    ["check-thermo", *FIG2[:4], "--levels-s", "0,1,400", "--levels-c", "0,400", "--beta", "1",
+     "--cycle", "0.5,0.5;0.4,0.6"],
+    ["check-thermo", *FIG2[:8], "--beta", "-0.5"],
+    ["gibbs", "--levels-s", "0,1", "--beta", "-1"],
+    ["gibbs", "--levels-s", "0,1", "--beta", "inf"],
+    ["gibbs", "--levels-s", "nan,1,2", "--beta", "1"],
+    ["gibbs", "--levels-s=-1e308,1e308", "--beta", "1"],
+    ["gibbs", "--levels-s", "", "--beta", "1"],
+    ["gibbs", "--beta", "1"],
+    ["gibbs", "--levels-s", "0,1"],
+    ["scan-fig1", *_DEMO, "--grid", "0"],
+    ["scan-fig1", *_DEMO, "--grid", "1"],
+    ["scan-fig1", *_DEMO, "--range", "0.1:0.6"],
+    ["scan-fig1", *_DEMO, "--range=-0.1:0.3"],
+    ["scan-fig1", *_DEMO, "--range", "0.4:0.1"],
+    ["scan-fig1", *_DEMO, "--range", "0.2"],
+    ["scan-fig1", *_DEMO, "--range", "a:b"],
+    ["scan-fig1", *_DEMO, "--range", "nan:1"],
+    ["scan-fig1", *_DEMO, "--grid", "3", "--json", "--out", "f.csv"],
+    ["scan-fig2", *FIG2, "--range", "0:1.5", "--json"],
+    ["scan-fig2", *FIG2, "--range", "0:inf", "--grid", "3"],
+    ["scan-fig2", *FIG2, "--grid", "3", "--json", "--pgm", "f.pgm"],
+    ["scan-fig2", *FIG2, "--grid", "3", "--out", "missing/f.csv"],
+    ["scan-fig2", *FIG2, "--grid", "3", "--out", "f.csv", "--pgm", "missing/f.pgm"],
+    ["scan-fig2", *_THERMO, "--grid", "3"],
+    ["best-catalyst", "--standard", *_DEMO, "--grid", "7"],
+    ["best-catalyst", "--standard", *_DEMO, "--range", "0.4:0.5"],
+    ["best-catalyst", "--flexible", *_DEMO, "--resolution", "0.3"],
+    ["best-catalyst", "--standard", *_DEMO, "--resolution", "0"],
+    ["best-catalyst", "--standard", *_DEMO, "--resolution", "0.6"],
+    ["best-catalyst", "--standard", "--flexible", *_DEMO],
+    ["conditions", "--x", DEMO_X],
+    ["conjecture", "--trials", "5", "--resolution", "0"],
+    ["conjecture", "--trials", "5", "--d", "2"],
+    ["conjecture", "--trials", "3", "--seed", "-1"],
+    ["conjecture", "--trials", "-1"],
+    ["vidal", "--file", "missing.json"],
+    ["vidal", "--file", "broken.json"],
+    ["vidal", "--file", "array.json"],
+    ["vidal", "--file", "unknown.json"],
+    ["gibbs", "--file", "levels.json"],
+    ["gibbs", "--file", "beta.json"],
+    ["vidal", "--file", "bools.json"],
+    ["check-flex", "--file", "flat-cycle.json"],
+    # two invalid inputs at once: the first one checked is reported
+    ["check-major", "--x", "0.5,0.6", "--y", "a,b"],
+    ["vidal", "--x", "nan,1", "--y", "0.5,0.6"],
+    ["vidal", "--file", "unknown.json", "--x", "abc"],
+    ["vidal", "--file", "broken.json", "--y", "0.5,0.6"],
+    ["check-flex", "--x", "0.5,0.6", "--y", "1,0", "--cycle", ";"],
+    ["check-flex", "--x", "0.5,0.5", "--y", "1,0", "--cycle", "0.5,0.6;0.5,b"],
+    ["check-flex", "--x", "0.5,0.5", "--y", "1,0", "--cycle", "0.5,0.6;0.2,0.3,0.5"],
+    ["check-thermo", *_THERMO, "--cycle", "0.5,0.6;0.5,0.5"],
+    ["check-thermo", *_THERMO, "--cycle", ";"],
+    ["check-thermo", *FIG2[:8], "--beta", "-1", "--cycle", "0.5,0.6;0.5,0.5"],
+    ["check-thermo", *_THERMO, "--levels-c", "nan,0", "--cycle", "0.5,0.6;0.5,0.5"],
+    ["check-thermo", *_THERMO, "--levels-c", "0,1", "--cycle", "0.5,0.6;0.5,0.5"],
+    ["check-thermo", "--x", "0.5,0.6", "--y", "0.5,0.3,0.2", "--levels-s", "0,1", "--beta", "1"],
+    ["gibbs", "--levels-s", "nan,1", "--beta", "-1"],
+    ["gibbs", "--levels-s", "0,1", "--beta", "hot"],
+    ["scan-fig1", "--x", "0.5,0.6", "--y", DEMO_Y, "--grid", "0"],
+    ["scan-fig1", "--x", "0.5,0.6", "--y", DEMO_Y, "--json", "--out", "f.csv"],
+    ["scan-fig2", *FIG2[:8], "--beta", "-1", "--range", "0:1.5"],
+    ["scan-fig2", *FIG2[:6], "--levels-c", "a,b", "--beta", "1", "--range", "0:1.5"],
+    ["scan-fig2", *FIG2[:6], "--levels-c", "a,b", "--beta", "1", "--range", "0.2"],
+    ["best-catalyst", "--standard", "--x", "0.5,0.6", "--y", DEMO_Y, "--grid", "7"],
+    ["best-catalyst", "--flexible", "--x", "0.5,0.6", "--y", DEMO_Y, "--grid", "0"],
+    ["conditions", "--x", DEMO_X, "--y", "0.5,0.6", "--cycle", ";"],
+    ["conditions", *_ALT, "--cycle", "0.5,0.6;0.5,0.5"],
+    ["conjecture", "--trials", "5", "--resolution", "0", "--d", "2"],
+    ["conjecture", "--trials", "-1", "--seed", "-1"],
+    ["reproduce", "--section", "nope", "--json"],
+]
+# sha256 over exit code, stdout and stderr of every argv above, recorded before
+# the subcommands shared one input reader, verdict writer and parser table
+MATRIX_SHA = "3f1f659330572a2dca314f9962e587c5832bf31f784c0c255b492d34ab462e04"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse texts vary by Python version")
+def test_cli_matrix_matches_pinned_hash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    for name, text in MATRIX_FILES.items():
+        (tmp_path / name).write_text(text)
+    digest = hashlib.sha256()
+    for argv in [*_MATRIX_RUNS, *([*argv, "--json"] for argv in _MATRIX_RUNS), *_MATRIX_ONCE]:
+        code = run(argv)
+        captured = capsys.readouterr()
+        digest.update(json.dumps([argv, code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == MATRIX_SHA
+
+
 def test_landscape_csv_file_equals_stdout(tmp_path, capsys):
     argv = ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "31", "--range", "0.1:0.4"]
     out = tmp_path / "fig1.csv"
@@ -407,6 +575,19 @@ def test_conjecture_cli(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["trials"] == 10
     assert payload["candidates"] == []
+
+
+def test_conjecture_text_lists_each_candidate(monkeypatch, capsys):
+    """The off-diagonal walk of test_search.test_conjecture_reports_an_off_diagonal_walk,
+    reached through the CLI's text output."""
+    monkeypatch.setattr(search, "_majorization_matrix", two_cycle_walk)
+    assert run(["conjecture", "--trials", "60", "--seed", "0", "--d", "4", "--resolution", "0.05"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    kept = endpoint_kept_trials(60, seed=0, d=4)
+    candidates = [line for line in lines if line.startswith("candidate ")]
+    assert kept and f"candidates {len(kept)}" in lines
+    assert [int(line.split()[1].removeprefix("trial=")) for line in candidates] == kept
+    assert all("cycle=(0.1, 0.25) best_standard=" in line for line in candidates)
 
 
 def test_reproduce_supplement_section(capsys):
@@ -510,6 +691,15 @@ def test_negative_beta_exits_one(argv, capsys):
         ["check-thermo", *FIG2],  # --levels-c without --cycle
         ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "3", "--json", "--out", "f.csv"],
         ["scan-fig2", *FIG2, "--grid", "3", "--json", "--pgm", "f.pgm"],
+        # axes whose square grid numpy could not size, rejected before any allocation
+        ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "100000000000000000000"],
+        ["scan-fig2", *FIG2, "--grid", "100000000000000000000"],
+        ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "100000000000000000000"],
+        ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--resolution", "1e-300"],
+        ["conjecture", "--trials", "1", "--resolution", "1e-300"],
+        ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--resolution", "5e-324"],
+        ["conjecture", "--trials", "1", "--resolution", "5e-324"],  # 0.5 / 5e-324 is inf
+        ["check-flex", "--x", DEMO_X, "--y", DEMO_Y, "--cycle", ";"],
     ],
 )
 def test_bad_search_arguments_exit_one(argv, capsys, recwarn):
@@ -535,16 +725,40 @@ def test_bad_search_arguments_exit_one(argv, capsys, recwarn):
             {"x": [1, 0], "y": [1, 0], "cycle": [[1, 0], [0.5, "b"]]},
             "instance key cycle holds a non-number",
         ),
+        ("vidal", {"x": [10**400, 0], "y": [0.5, 0.5]}, "entry inf is not finite"),
+        ("vidal", [0.5, 0.5], "instance.json must hold a JSON object"),
+        ("vidal", None, "cannot read instance.json: [Errno 2] No such file or directory"),
     ],
-    ids=["levels-not-list", "beta-string", "beta-list", "x-string", "x-null", "x-bool", "cycle-string"],
+    ids=["levels-not-list", "beta-string", "beta-list", "x-string", "x-null", "x-bool", "cycle-string",
+         "x-int-past-float-range", "array", "missing-file"],
 )
-def test_instance_file_rejects_non_list_levels(tmp_path, capsys, command, instance, message):
-    inst = tmp_path / "instance.json"
-    inst.write_text(json.dumps(instance))
-    assert run([command, "--file", str(inst)]) == 1
+def test_instance_file_rejects_non_list_levels(tmp_path, monkeypatch, capsys, command, instance, message):
+    monkeypatch.chdir(tmp_path)
+    if instance is not None:  # None: no file is written
+        Path("instance.json").write_text(json.dumps(instance))
+    assert run([command, "--file", "instance.json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_malformed_instance_file_exits_one(blob, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(blob)
+    assert run(["vidal", "--file", "bad.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad.json is not valid JSON: {message}")
+    assert captured.err.count("\n") == 1
 
 
 # Pools for the argv fuzz below, each a (valid, invalid) pair: invalid values
@@ -627,27 +841,110 @@ def _fuzz_argv(rng: np.random.Generator) -> list[str]:
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
+def _unclean_run(argv: list[str], capsys) -> str | None:
+    """What went wrong in one run, or None if it exits 0, 1 or 2 with no escaping
+    exception or warning, an exit of 1 prints exactly one stderr line, and any
+    other exit prints no stderr and no non-finite number."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+    except Exception as exc:  # noqa: BLE001 - every escape is a failure to report
+        capsys.readouterr()
+        return repr(exc)
+    out, err = capsys.readouterr()
+    if code not in (0, 1, 2):
+        return f"exit {code}"
+    if code == 1 and not (err.startswith("error:") and err.count("\n") == 1):
+        return f"stderr {err!r}"
+    if code != 1 and (err or NON_FINITE.search(out)):
+        return f"exit {code} with stdout {out[:80]!r} and stderr {err!r}"
+    return None
+
+
 def test_cli_fuzz_exits_cleanly(capsys):
-    """Seeded argv for every subcommand: exit 0, 1 or 2 and no escaping exception or
-    warning; an exit of 1 prints exactly one stderr line, any other exit prints no
-    stderr and no non-finite number."""
+    """Seeded argv for every subcommand, each run checked by _unclean_run."""
     rng = np.random.default_rng(20261018)
     failures = []
     for _ in range(600):
         argv = _fuzz_argv(rng)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code = run(argv)
-        except Exception as exc:  # noqa: BLE001 - every escape is a failure to report
-            failures.append((argv, repr(exc)))
-            capsys.readouterr()
-            continue
-        out, err = capsys.readouterr()
-        if code not in (0, 1, 2):
-            failures.append((argv, f"exit {code}"))
-        elif code == 1 and not (err.startswith("error:") and err.count("\n") == 1):
-            failures.append((argv, f"stderr {err!r}"))
-        elif code != 1 and (err or NON_FINITE.search(out)):
-            failures.append((argv, f"exit {code} with stdout {out[:80]!r} and stderr {err!r}"))
+        problem = _unclean_run(argv, capsys)
+        if problem:
+            failures.append((argv, problem))
+    assert not failures, f"{len(failures)} bad runs, first: {failures[:3]}"
+
+
+# Pools for the instance-file fuzz below: JSON texts of plausible values per key
+# and kind of command, and texts of every JSON type, including numbers past the
+# float range, for any key.
+_ENT_VECTORS = [[0.5, 0.3, 0.2], [0.4, 0.3, 0.2, 0.1], [0.6, 0.4], list(X_DEMO4), list(Y_DEMO4), [1, 0, 0]]
+_STATES = [[0.09, 0.53, 0.38], [0.11, 0.75, 0.14], [0.5, 0.3, 0.2], [0.6, 0.3, 0.1]]
+FILE_POOLS = {
+    "entanglement": {"x": _ENT_VECTORS, "y": _ENT_VECTORS,
+                     "cycle": [[[0.6333, 0.2667, 0.1], [0.6167, 0.2833, 0.1]], [[0.8, 0.2], [0.6, 0.4]]]},
+    "thermal": {"x": _STATES, "y": _STATES, "levels_s": [[0, 1, 2], [0, 0, 0], [0, 1, 40]],
+                "levels_c": [[0, 1], [0, 45]], "beta": [1, 0, 0.5],
+                "cycle": [[[0.82, 0.18], [0.59, 0.41]], [[1, 0], [0.5, 0.5]]]},
+}
+ANY_JSON = ["0.5", "1", "0", "-1", "1e400", "-1e400", "1e308", "1" + "0" * 400, '"0.5"', '"a"', '""',
+            "true", "false", "null", "[]", "[[]]", "{}", '{"x": 1}', "[0.5, 0.5]", "[1e400, 0]",
+            '[0.5, "b"]', "[true, false]", "[null]", "[[0.5, 0.5], [0.4, 0.6]]", "[[1e400, 0]]",
+            "[[0.5, 0.5], [0.2, 0.3, 0.5]]", "[0.5, [0.5]]"]
+FILE_COMMANDS = {  # every subcommand that takes --file, with its bounded options
+    "check-major": ("entanglement", []), "vidal": ("entanglement", []),
+    "check-flex": ("entanglement", []), "conditions": ("entanglement", []),
+    "check-thermo": ("thermal", []), "gibbs": ("thermal", []),
+    "scan-fig1": ("entanglement", ["--grid", "3", "--json"]),
+    "scan-fig2": ("thermal", ["--grid", "3", "--json"]),
+    "best-catalyst --standard": ("entanglement", []),
+    "best-catalyst --flexible": ("entanglement", ["--grid", "5"]),
+}
+
+
+def _fuzz_instance(rng: np.random.Generator, kind: str) -> bytes:
+    """One instance file: each key present 15 times in 16, its value plausible seven
+    times in eight, an unknown key one time in eight, and one time in eight the
+    whole file corrupted."""
+    def pick(values):
+        return values[int(rng.integers(len(values)))]
+
+    def value(key):
+        plausible = FILE_POOLS[kind].get(key)
+        return json.dumps(pick(plausible)) if plausible and rng.random() < 7 / 8 else pick(ANY_JSON)
+
+    keys = ("x", "y", "levels_s", "levels_c", "beta", "cycle")
+    fields = [f'"{key}": {value(key)}' for key in keys if rng.random() < 15 / 16]
+    if rng.random() < 1 / 8:
+        fields.append(f'"zeta": {pick(ANY_JSON)}')
+    text = ("{" + ", ".join(fields) + "}").encode()
+    if rng.random() >= 1 / 8:
+        return text
+    corruption = pick(["array", "truncated", "not-utf8", "deep"])
+    cut = int(rng.integers(len(text)))
+    if corruption == "array":
+        return b"[" + text + b"]"
+    if corruption == "truncated":
+        return text[:cut]
+    if corruption == "not-utf8":
+        return text[:cut] + b"\xff" + text[cut:]
+    return b"[" * 100_000 + b"]" * 100_000
+
+
+def test_instance_file_fuzz_exits_cleanly(tmp_path, capsys):
+    """Seeded instance files for every subcommand that takes --file, each run
+    checked by _unclean_run."""
+    rng = np.random.default_rng(20261019)
+    commands = list(FILE_COMMANDS)
+    failures = []
+    for i in range(300):
+        command = commands[int(rng.integers(len(commands)))]
+        kind, options = FILE_COMMANDS[command]
+        path = tmp_path / f"{i}.json"
+        path.write_bytes(_fuzz_instance(rng, kind))
+        argv = [*command.split(), "--file", str(path), *options]
+        if "--json" not in options and rng.random() < 0.5:
+            argv.append("--json")
+        problem = _unclean_run(argv, capsys)
+        if problem:
+            failures.append((argv, path.read_bytes()[:200], problem))
     assert not failures, f"{len(failures)} bad runs, first: {failures[:3]}"

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -55,8 +57,10 @@ from helpers import (
     THERMO_Q,
     X_DEMO4,
     Y_DEMO4,
+    endpoint_kept_trials,
     random_sorted,
     schmidt,
+    two_cycle_walk,
     weight_state,
 )
 
@@ -66,6 +70,10 @@ def test_grid_spec_validation():
         GridSpec(0.5, 0.0, 0.5, 0.0, 10, 10)
     with pytest.raises(BadRange, match="at least 2 grid points"):
         GridSpec(0.0, 1.0, 0.0, 1.0, 1, 1)
+    side = math.isqrt(sys.maxsize)  # the longest axis whose square grid numpy can size
+    with pytest.raises(BadRange, match=f"at most {side} grid points"):
+        GridSpec(0.0, 1.0, 0.0, 1.0, side + 1, side + 1)
+    assert GridSpec(0.0, 1.0, 0.0, 1.0, side, side).steps1 == side  # no array is built
     for lo2, hi2, steps2 in ((0.1, 1.0, 10), (0.0, 0.9, 10), (0.0, 1.0, 11)):
         with pytest.raises(BadRange, match="share one axis"):
             GridSpec(0.0, 1.0, lo2, hi2, 10, steps2)
@@ -578,20 +586,10 @@ def test_unpruned_closed_walks_pass_the_prefilter_and_sit_on_the_diagonal(d):
 
 def test_conjecture_reports_an_off_diagonal_walk(monkeypatch):
     """Forces the closed-walk branch that the witness theorem leaves unreachable."""
-
-    def two_cycle(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        m = np.zeros((len(px), len(py)), dtype=bool)
-        m[2, 5] = m[5, 2] = True
-        return m
-
-    monkeypatch.setattr(search, "_majorization_matrix", two_cycle)
+    monkeypatch.setattr(search, "_majorization_matrix", two_cycle_walk)
     report = conjecture_search(60, seed=0, d=4, grid_resolution=0.05)
     cs = np.linspace(0.0, 0.5, 11)
-    kept = [
-        trial
-        for trial in range(60)
-        if endpoint_conditions_ok(*_sample_incomparable(np.random.default_rng((0, trial)), 4)[:2])
-    ]
+    kept = endpoint_kept_trials(60, seed=0, d=4)
     assert kept
     assert [cand.trial for cand in report.candidates] == kept
     assert report.flexible_feasible_trials == len(kept)
