@@ -132,13 +132,11 @@ _DEPTH = {"beta": 0, "x": 1, "y": 1, "levels_s": 1, "levels_c": 1, "cycle": 2}
 def _file_value(name: str, raw: object, depth: int):
     """Instance-file value of the given nesting depth, converted to floats."""
     if depth == 0:
-        if not isinstance(raw, bool):  # JSON true/false would pass float()
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):  # bool is an int
             try:
                 return float(raw)
             except OverflowError:  # an integer past the float range; JSON's 1e400 is inf too
                 return math.inf if raw > 0 else -math.inf
-            except (TypeError, ValueError):
-                pass
         raise CliError(f"instance key {name} holds a non-number: {raw!r}")
     if not isinstance(raw, list) or (depth > 1 and not all(isinstance(v, list) for v in raw)):
         raise CliError(f"instance key {name} must be a list" + " of lists" * (depth - 1))

@@ -8,7 +8,7 @@ dimension are zero-padded, which leaves the order unchanged.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -72,6 +72,18 @@ def vidal_probability(x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[
     return max(0.0, min(1.0, best))
 
 
+def _steps(
+    x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], cycle: Cycle
+) -> Iterator[tuple[SchmidtVec, SchmidtVec]]:
+    """The steps (x ⊗ c_i, y ⊗ c_{i+1}) of a cycle, each side sorted, built as they are read.
+
+    x and y are validated on the call, before the first step is read.
+    """
+    sx = as_schmidt_vec(x)
+    sy = as_schmidt_vec(y)
+    return ((sort_desc(tensor(sx, ci)), sort_desc(tensor(sy, cj))) for ci, cj in cycle.pairs())
+
+
 def standard_catalysis_ok(
     x: SchmidtVec | Sequence[float],
     y: SchmidtVec | Sequence[float],
@@ -90,15 +102,11 @@ def flexible_cycle_ok(
 
     Cycle states must be sorted (Schmidt) vectors.
     """
-    sx = as_schmidt_vec(x)
-    sy = as_schmidt_vec(y)
+    steps = _steps(x, y, cycle)  # validates x and y before the states
     for state in cycle.states:
         if not isinstance(state, SchmidtVec):
             as_schmidt_vec(state)  # raises NotSorted on violation
-    for ci, cj in cycle.pairs():
-        if not is_majorized_by(sort_desc(tensor(sx, ci)), sort_desc(tensor(sy, cj))):
-            return False
-    return True
+    return all(is_majorized_by(*step) for step in steps)
 
 
 def violation_indices(

@@ -196,7 +196,7 @@ class Cycle:
 
     def __post_init__(self) -> None:
         if not self.states:
-            raise EmptyCycle("cycle needs at least one state")
+            raise EmptyCycle("cycle is empty")
         dims = {s.dim for s in self.states}
         if len(dims) != 1:
             raise DimensionMismatch(f"cycle states have mixed dimensions {sorted(dims)}")

@@ -7,15 +7,12 @@ setting. A 2-cycle landscape has one weight axis: cell (i, j) needs steps
 x⊗c_i → y⊗c_j and x⊗c_j → y⊗c_i, entries (i, j) and (j, i) of one step
 matrix S, so a scan computes S once and combines it with S.T. Every kernel
 runs in one thread. The entanglement kernels loop over the 2d tail or
-prefix columns, updating one 2-D buffer per column; on 2 cores the 1001²
-d=4 scan takes about 50-62 ms, against 89-95 ms for just one step direction
-as the former 3-D broadcast chunked over a thread pool. The thermal kernel
-evaluates each curve once per distinct breakpoint row; the 1001² scan takes
-about 21 ms, and threads measured no faster at 1001² and slower at 401².
-The entanglement scans zero-pad as the scalar API does (_step_tails); the
-thermal scans build their step curves in thermo._step_curves. The harness
-tests each trial's endpoint conditions, then the grid diagonal, and
-searches closed walks only if both leave it open.
+prefix columns, updating one 2-D buffer per column; the thermal kernel
+evaluates each curve once per distinct breakpoint row. Every entanglement
+search builds its steps in _step_rows, zero-padded as the scalar API pads;
+the thermal scans build theirs in thermo._step_curves. The harness tests
+each trial's endpoint conditions, then the grid diagonal, and searches
+closed walks only if both leave it open.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ import numpy as np
 
 from .conditions import endpoint_conditions_ok
 from .errors import BadRange, DimensionMismatch, SamplingFailed, WrongDimension
-from .majorize import _padded, incomparable, vidal_probability
+from .majorize import _padded, _steps, incomparable, vidal_probability
 from .probvec import (
     CMP_TOL,
     ENT_GRID_STEPS,
@@ -41,8 +38,6 @@ from .probvec import (
     SchmidtVec,
     as_schmidt_vec,
     gibbs_vector,
-    sort_desc,
-    tensor,
 )
 from .thermo import _step_curves, dominance_diagonal, dominance_matrix
 
@@ -118,28 +113,20 @@ DEFAULT_THERMO_GRID = GridSpec(0.0, 1.0, 0.0, 1.0, THERMO_GRID_STEPS, THERMO_GRI
 # ---------------------------------------------------------------------------
 
 
-def _sorted_tensor_rows(v: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Rows of v ⊗ (1-c, c) for each c, sorted non-increasingly."""
-    rows = np.concatenate([v[None, :] * (1.0 - cs)[:, None], v[None, :] * cs[:, None]], axis=1)
-    rows.sort(axis=1)
-    return rows[:, ::-1]
-
-
-def _prefix_matrix(v: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    return np.cumsum(_sorted_tensor_rows(v, cs), axis=1)
-
-
-def _tail_matrix(v: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    rows = _sorted_tensor_rows(v, cs)
-    return np.cumsum(rows[:, ::-1], axis=1)[:, ::-1]
-
-
-def _step_tails(
+def _step_rows(
     x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], cs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tail matrices of the steps x⊗(1-c, c) → y⊗(1-c, c), zero-padded as the scalar API pads."""
+) -> np.ndarray:
+    """Rows x⊗(1-c, c) and y⊗(1-c, c) for each c, stacked as shape (2, len(cs), 2d).
+
+    x and y are validated and zero-padded as the scalar API pads; each row is
+    sorted non-increasingly, so its cumsum gives prefix sums and the cumsum of
+    its reverse, reversed, gives tail sums.
+    """
     vx, vy = _padded(as_schmidt_vec(x), as_schmidt_vec(y))
-    return _tail_matrix(np.array(vx), cs), _tail_matrix(np.array(vy), cs)
+    weights = np.stack([1.0 - cs, cs], axis=1)
+    rows = np.stack([np.outer(weights, v).reshape(len(cs), -1) for v in (vx, vy)])
+    rows.sort(axis=-1)
+    return rows[..., ::-1]
 
 
 def _tail_ratio(sx: np.ndarray, sy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -179,11 +166,9 @@ def per_step_probability(
     x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], cycle: Cycle
 ) -> float:
     """Geometric mean of the per-step conversion probabilities around a cycle."""
-    sx = as_schmidt_vec(x)
-    sy = as_schmidt_vec(y)
     factors = []
-    for ci, cj in cycle.pairs():
-        p = vidal_probability(sort_desc(tensor(sx, ci)), sort_desc(tensor(sy, cj)))
+    for step in _steps(x, y, cycle):
+        p = vidal_probability(*step)
         if p == 0.0:
             return 0.0
         factors.append(p)
@@ -211,9 +196,9 @@ def scan_pflex_landscape(
 ) -> LandscapeGrid:
     """Per-step probability of the 2-cycle [(1-c1, c1), (1-c2, c2)] on a grid."""
     _check_weight_range(spec, 0.5, "breaks sortedness of (1-c, c)")
-    step = np.clip(_min_tail_ratio(*_step_tails(x, y, spec.axis1())), 0.0, 1.0)
-    values = np.sqrt(step * step.T)
-    return LandscapeGrid(spec, np.clip(values, 0.0, 1.0), "probability")
+    tails = np.cumsum(_step_rows(x, y, spec.axis1())[..., ::-1], axis=-1)[..., ::-1]
+    step = np.clip(_min_tail_ratio(*tails), 0.0, 1.0)
+    return LandscapeGrid(spec, np.sqrt(step * step.T), "probability")
 
 
 # Compass moves by parameter count: coordinate moves plus, in 2-D, both
@@ -231,13 +216,12 @@ def _pattern_search(
     start: Sequence[float],
     step: float,
     bounds: Sequence[tuple[float, float]],
-    min_step: float = PARAM_PRECISION,
 ) -> tuple[tuple[float, ...], float, int]:
     """Shrinking-step compass ascent; only strict improvements move."""
     params = [float(v) for v in start]
     value = f(params)
     evals = 1
-    while step > min_step:
+    while step > PARAM_PRECISION:
         best_val = value
         best = None
         for direction in _DIRECTIONS[len(params)]:
@@ -259,6 +243,15 @@ def _pattern_search(
     return tuple(params), value, evals
 
 
+def _refine_constant(
+    objective: Callable[[Sequence[float]], float], cs: np.ndarray, diag: np.ndarray
+) -> tuple[tuple[float, ...], float, int]:
+    """Compass ascent over one constant weight, from the argmax of diag at the pitch of axis cs."""
+    start = float(cs[int(np.argmax(diag))])
+    bound = (float(cs[0]), float(cs[-1]))
+    return _pattern_search(objective, [start], float(cs[1] - cs[0]), [bound])
+
+
 def best_standard(
     x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], resolution: float = 0.0025
 ) -> OptResult:
@@ -266,17 +259,14 @@ def best_standard(
     cs = _weight_axis(resolution)
     vx = as_schmidt_vec(x)
     vy = as_schmidt_vec(y)
-    diag = np.clip(_tail_ratio(*_step_tails(vx, vy, cs)).min(axis=1), 0.0, 1.0)
-    start = int(np.argmax(diag))
+    sx, sy = np.cumsum(_step_rows(vx, vy, cs)[..., ::-1], axis=-1)[..., ::-1]
+    diag = np.clip(_tail_ratio(sx, sy).min(axis=1), 0.0, 1.0)
 
     def objective(params: Sequence[float]) -> float:
         c = params[0]
         return per_step_probability(vx, vy, Cycle((SchmidtVec((1.0 - c, c)),)))
 
-    params, value, evals = _pattern_search(
-        objective, [float(cs[start])], float(cs[1] - cs[0]), [(0.0, 0.5)]
-    )
-    return OptResult(params, value, evals)
+    return OptResult(*_refine_constant(objective, cs, diag))
 
 
 def best_flexible(
@@ -305,9 +295,8 @@ def best_flexible(
     bound = (spec.lo1, spec.hi1)
     params, value, evals = _pattern_search(objective, cs[[i, j]].tolist(), pitch, [bound, bound])
     # constant cycles lie on the diagonal; refining there keeps the best constant catalyst's value
-    diag_start = int(np.argmax(np.diagonal(grid.values)))
-    diag_params, diag_value, diag_evals = _pattern_search(
-        lambda prm: objective([prm[0], prm[0]]), [float(cs[diag_start])], pitch, [bound]
+    diag_params, diag_value, diag_evals = _refine_constant(
+        lambda prm: objective([prm[0], prm[0]]), cs, np.diagonal(grid.values)
     )
     evals += diag_evals
     if diag_value > value:
@@ -492,8 +481,7 @@ def conjecture_search(
         raw_pairs += attempts
         if not endpoint_conditions_ok(x, y):
             continue
-        prefix_x = _prefix_matrix(x.as_array(), cs)
-        prefix_y = _prefix_matrix(y.as_array(), cs)
+        prefix_x, prefix_y = np.cumsum(_step_rows(x, y, cs), axis=-1)
         m = _majorization_matrix(prefix_x, prefix_y)
         if np.diagonal(m).any():  # a constant catalyst is a closed walk of every length
             standard_grid += 1

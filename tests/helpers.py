@@ -31,7 +31,7 @@ from flexcat import (
     vidal_probability,
     violation_indices,
 )
-from flexcat.search import _majorization_matrix, _prefix_matrix, _sample_incomparable, _weight_axis
+from flexcat.search import _majorization_matrix, _sample_incomparable, _step_rows, _weight_axis
 
 # frozen instance data used across the suite
 X_DEMO4 = (0.5789, 0.2691, 0.0872, 0.0648)
@@ -170,7 +170,7 @@ def endpoint_kept_trials(trials: int, seed: int, d: int) -> list[int]:
 def grid_feasible_pairs(x: SchmidtVec, y: SchmidtVec, resolution: float = 0.005) -> np.ndarray:
     """Index pairs (a, b) with x⊗C_a ≺ y⊗C_b and x⊗C_b ≺ y⊗C_a on the weight grid."""
     cs = _weight_axis(resolution)
-    m = _majorization_matrix(_prefix_matrix(x.as_array(), cs), _prefix_matrix(y.as_array(), cs))
+    m = _majorization_matrix(*np.cumsum(_step_rows(x, y, cs), axis=-1))
     return np.argwhere(m & m.T)
 
 

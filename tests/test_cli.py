@@ -717,20 +717,24 @@ def test_bad_search_arguments_exit_one(argv, capsys, recwarn):
         ("gibbs", {"levels_s": 3, "beta": 1.0}, "instance key levels_s must be a list"),
         ("gibbs", {"levels_s": [0, 1], "beta": "hot"}, "instance key beta holds a non-number"),
         ("gibbs", {"levels_s": [0, 1], "beta": [1]}, "instance key beta holds a non-number"),
+        ("gibbs", {"levels_s": [0, 1], "beta": "1"}, "instance key beta holds a non-number"),
         ("vidal", {"x": ["a", 0.5], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
         ("vidal", {"x": [None, 1], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
         ("vidal", {"x": [True, False], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
+        ("vidal", {"x": ["0.5", "0.5"], "y": [1, 0]}, "instance key x holds a non-number"),
         (
             "check-flex",
             {"x": [1, 0], "y": [1, 0], "cycle": [[1, 0], [0.5, "b"]]},
             "instance key cycle holds a non-number",
         ),
+        ("check-flex", {"x": [0.5, 0.5], "y": [1, 0], "cycle": []}, "cycle is empty"),
         ("vidal", {"x": [10**400, 0], "y": [0.5, 0.5]}, "entry inf is not finite"),
         ("vidal", [0.5, 0.5], "instance.json must hold a JSON object"),
         ("vidal", None, "cannot read instance.json: [Errno 2] No such file or directory"),
     ],
-    ids=["levels-not-list", "beta-string", "beta-list", "x-string", "x-null", "x-bool", "cycle-string",
-         "x-int-past-float-range", "array", "missing-file"],
+    ids=["levels-not-list", "beta-string", "beta-list", "beta-numeric-string", "x-string", "x-null",
+         "x-bool", "x-numeric-string", "cycle-string", "empty-cycle", "x-int-past-float-range", "array",
+         "missing-file"],
 )
 def test_instance_file_rejects_non_list_levels(tmp_path, monkeypatch, capsys, command, instance, message):
     monkeypatch.chdir(tmp_path)

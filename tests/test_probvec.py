@@ -161,7 +161,7 @@ def test_tail_sum_telescopes():
 
 
 def test_cycle_validation():
-    with pytest.raises(EmptyCycle):
+    with pytest.raises(EmptyCycle, match="cycle is empty"):
         Cycle(())
     with pytest.raises(DimensionMismatch):
         make_cycle([[0.5, 0.5], [0.2, 0.3, 0.5]])

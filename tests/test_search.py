@@ -40,11 +40,10 @@ from flexcat.search import (
     _bool_power,
     _majorization_matrix,
     _min_tail_ratio,
-    _prefix_matrix,
     _reconstruct_cycle,
     _sample_incomparable,
     _standard_margins,
-    _tail_matrix,
+    _step_rows,
 )
 from flexcat.thermo import gibbs_vector
 from helpers import (
@@ -317,18 +316,29 @@ def test_each_thermal_check_builds_its_steps_once(monkeypatch, check):
     assert (builder_calls[0] + scan_builder_calls[0], batch_calls[0]) == (1, 1)
 
 
-ENTANGLEMENT_SEARCHES = {
-    "landscape": lambda x, y: scan_pflex_landscape(x, y, GridSpec(0.0, 0.5, 0.0, 0.5, 31, 31)),
-    "best_standard": lambda x, y: best_standard(x, y, 0.05),
-    "best_flexible": lambda x, y: best_flexible(x, y, GridSpec(0.0, 0.5, 0.0, 0.5, 31, 31)),
+ENTANGLEMENT_SEARCHES = {  # (search, _step_rows calls it makes)
+    "landscape": (
+        lambda: scan_pflex_landscape(X_DEMO4, Y_DEMO4, GridSpec(0.0, 0.5, 0.0, 0.5, 31, 31)), 1
+    ),
+    "best_standard": (lambda: best_standard(X_DEMO4, Y_DEMO4, 0.05), 1),
+    "best_flexible": (
+        lambda: best_flexible(X_DEMO4, Y_DEMO4, GridSpec(0.0, 0.5, 0.0, 0.5, 31, 31)), 1
+    ),
+    # one per trial that passes the endpoint pre-filter
+    "conjecture": (
+        lambda: conjecture_search(60, seed=0, d=4, grid_resolution=0.05),
+        len(endpoint_kept_trials(60, seed=0, d=4)),
+    ),
 }
 
 
-@pytest.mark.parametrize("run_search", ENTANGLEMENT_SEARCHES.values(), ids=ENTANGLEMENT_SEARCHES.keys())
-def test_each_entanglement_search_builds_its_tails_once(monkeypatch, run_search):
-    tail_calls = _count_calls(monkeypatch, "_step_tails")
-    run_search(schmidt(X_DEMO4), schmidt(Y_DEMO4))
-    assert tail_calls == [1]
+@pytest.mark.parametrize(
+    "run_search, calls", ENTANGLEMENT_SEARCHES.values(), ids=ENTANGLEMENT_SEARCHES.keys()
+)
+def test_each_entanglement_search_builds_its_tails_once(monkeypatch, run_search, calls):
+    row_calls = _count_calls(monkeypatch, "_step_rows")
+    run_search()
+    assert row_calls == [calls]
 
 
 def test_unequal_dimension_scans_equal_the_scalar_api():
@@ -397,6 +407,21 @@ def test_probability_scans_and_best_flexible_match_pinned_hash():
     assert digest.hexdigest() == "911790ceeb94bb406ab4c7474db22b24bdf7f3aa988f2fb1de648dae7ec4337d"
 
 
+def test_best_standard_matches_pinned_hash():
+    """36 random pairs at d = 3..7, one in four of unequal dimension, at pitches 0.0025, 0.01, 0.05."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(13)
+    for t in range(36):
+        dx = int(rng.integers(3, 8))
+        dy = int(rng.integers(3, 8)) if t % 4 == 0 else dx
+        x = np.sort(rng.dirichlet(np.ones(dx)))[::-1]
+        y = np.sort(rng.dirichlet(np.ones(dy)))[::-1]
+        result = best_standard(x, y, (0.0025, 0.01, 0.05)[t % 3])
+        digest.update(struct.pack("2d", *result.params, result.value))
+        digest.update(struct.pack("q", result.iterations))
+    assert digest.hexdigest() == "d5910b2704f9eb28782b9165f597438f6b85e61ad80fdb9acbe5a5c05ca4b163"
+
+
 def test_thermo_standard_scan_trivial_transition_is_full():
     p = make_prob_vec(THERMO_P)
     gs = gibbs_vector(LEVELS_S, BETA)
@@ -417,6 +442,14 @@ def _dense_majorization(px, py):
     return np.all(px[:, None, :-1] <= py[None, :, :-1] + CMP_TOL, axis=2)
 
 
+def _prefixes(x, y, cs):
+    return np.cumsum(_step_rows(x, y, cs), axis=-1)
+
+
+def _tails(x, y, cs):
+    return np.cumsum(_step_rows(x, y, cs)[..., ::-1], axis=-1)[..., ::-1]
+
+
 def _margin_at(px, py, c):
     """Prefix-sum slack of x⊗(1-c,c) against y⊗(1-c,c), built for one c."""
     left = np.concatenate([px * (1.0 - c), px * c])
@@ -429,24 +462,24 @@ def _margin_at(px, py, c):
 @pytest.mark.parametrize("d", range(3, 9))
 def test_grid_kernels_equal_dense_references(d):
     rng = np.random.default_rng(200 + d)
-    x = random_sorted(rng, d).as_array()
-    y = random_sorted(rng, d).as_array()
+    x = random_sorted(rng, d)
+    y = random_sorted(rng, d)
     # both axes hold c = 0 and c = 0.5, whose rows have empty tails
     cs1 = np.linspace(0.0, 0.5, 61)
     cs2 = np.linspace(0.0, 0.5, 37)
     for a, b in ((cs1, cs2), (cs2, cs1), (cs1, cs1)):
-        sx, sy = _tail_matrix(x, a), _tail_matrix(y, b)
+        sx, sy = _tails(x, y, a)[0], _tails(x, y, b)[1]
         assert (sy == 0.0).any()
         assert np.array_equal(_min_tail_ratio(sx, sy), _dense_min_tail_ratio(sx, sy))
-        px, py = _prefix_matrix(x, a), _prefix_matrix(y, b)
+        px, py = _prefixes(x, y, a)[0], _prefixes(x, y, b)[1]
         assert np.array_equal(_majorization_matrix(px, py), _dense_majorization(px, py))
         assert np.array_equal(_majorization_matrix(py, px), _dense_majorization(py, px))
-    margins = _standard_margins(_prefix_matrix(x, cs1), _prefix_matrix(y, cs1))
-    assert np.array_equal(margins, [_margin_at(x, y, c) for c in cs1])
+    margins = _standard_margins(*_prefixes(x, y, cs1))
+    xa, ya = x.as_array(), y.as_array()
+    assert np.array_equal(margins, [_margin_at(xa, ya, c) for c in cs1])
     for c in rng.uniform(0.0, 0.5, 20):
-        one_row = np.array([c])
-        margin = _standard_margins(_prefix_matrix(x, one_row), _prefix_matrix(y, one_row))
-        assert float(margin[0]) == _margin_at(x, y, float(c))
+        margin = _standard_margins(*_prefixes(x, y, np.array([c])))
+        assert float(margin[0]) == _margin_at(xa, ya, float(c))
 
 
 def test_sampler_postcondition_and_determinism():
@@ -572,8 +605,7 @@ def test_unpruned_closed_walks_pass_the_prefilter_and_sit_on_the_diagonal(d):
     for n in (2, 3):
         for trial in range(1250):
             x, y, _ = _sample_incomparable(np.random.default_rng((d, n, trial)), d)
-            px, py = _prefix_matrix(x.as_array(), cs), _prefix_matrix(y.as_array(), cs)
-            m = _majorization_matrix(px, py)
+            m = _majorization_matrix(*_prefixes(x, y, cs))
             if np.diagonal(_bool_power(m, n)).any():
                 walks += 1
                 assert endpoint_conditions_ok(x, y), (n, trial)
@@ -596,9 +628,7 @@ def test_conjecture_reports_an_off_diagonal_walk(monkeypatch):
     assert report.standard_on_grid_trials == report.standard_by_refinement_trials == 0
     for cand in report.candidates:
         assert cand.cycle_weights == (cs[2], cs[5])
-        margins = _standard_margins(
-            _prefix_matrix(np.array(cand.x), cs), _prefix_matrix(np.array(cand.y), cs)
-        )
+        margins = _standard_margins(*_prefixes(SchmidtVec(cand.x), SchmidtVec(cand.y), cs))
         assert cand.best_standard_margin == margins.max()
         assert cand.best_standard_weight == cs[int(np.argmax(margins))]
     payload = json.loads(report.to_json())
