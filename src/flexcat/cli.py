@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = success / checked relation true; 1 = input or validation
-error, an export file that cannot be written, or stdout closed by its
-reader; 2 = checked relation false or a search found a counterexample, so
-shell scripts can branch on the math.
+error, an export file that cannot be written, --out and --pgm naming one
+file, or stdout closed by its reader; 2 = checked relation false or a
+search found a counterexample, so shell scripts can branch on the math.
 
 Vectors are passed inline as comma-separated floats or through a JSON
 instance file with keys x, y, levels_s, levels_c, beta, cycle (inline flags
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -202,21 +203,29 @@ def _grid_spec(args: argparse.Namespace, default: GridSpec) -> GridSpec:
 def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
     """Write the grid as `c1,c2,value` rows in row-major order, 6 decimals.
 
-    Each axis point and each distinct value is formatted once, and the file
-    is written one grid row at a time, so at most one row of strings is held.
+    Each axis point and each distinct value is formatted once, as a
+    fixed-width bytes field padded with NUL. A grid row is assembled in one
+    reused (n, 3) array of fields and written with the padding dropped, so
+    fields of unequal width come out right and at most one row is held.
     Values are told apart by their bit pattern, so -0.0 keeps its own text
-    ("-0.000000") instead of merging with 0.0.
+    ("-0.000000") instead of merging with 0.0. The distinct patterns come
+    from a sort and a neighbour mask, not from numpy's unique, whose hash
+    path is about ten times slower on a large grid.
     """
     import numpy as np
 
     bits = grid.values.view(np.uint64)
-    heads = [f"{v:.6f}," for v in grid.spec.axis1().tolist()]
-    c2 = np.array(heads, dtype=object)  # both weights share one axis
-    distinct = np.unique(bits)
-    text = np.array([f"{v:.6f}\n" for v in distinct.view(np.float64).tolist()], dtype=object)
+    axis = np.array([f"{v:.6f},".encode() for v in grid.spec.axis1().tolist()])
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    text = np.array([f"{v:.6f}\n".encode() for v in distinct.view(np.float64).tolist()])
+    cells = np.empty((len(axis), 3), dtype=np.promote_types(axis.dtype, text.dtype))
+    cells[:, 1] = axis  # both weights share one axis
     out.write("c1,c2,value\n")
-    for head, row in zip(heads, bits):
-        out.write(head + head.join((c2 + text[np.searchsorted(distinct, row)]).tolist()))
+    for head, row in zip(axis, bits):
+        cells[:, 0] = head
+        cells[:, 2] = text[np.searchsorted(distinct, row)]
+        out.write(cells.tobytes().replace(b"\0", b"").decode("ascii"))
 
 
 def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
@@ -227,7 +236,7 @@ def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
     hi = float(vals.max())
     scale = (vals - lo) / (hi - lo) if hi > lo else np.zeros_like(vals)
     # rows follow c2 from lowest to highest; columns follow c1
-    pixels = np.round(255.0 * scale.T).astype(np.uint8)
+    pixels = np.round(255.0 * scale).astype(np.uint8).T
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
     out.write(header.encode("ascii"))
     out.write(pixels.tobytes())
@@ -238,6 +247,8 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
 
     Every file is opened before any output is written, so a bad path fails
     before any output. An OSError on a file becomes a CliError naming that file.
+    Two paths that open one file (the same name, `sub/../f`, a symlink or a
+    hard link) are rejected: the second writer would write over the first.
     """
     outputs = []
     if args.out:
@@ -249,6 +260,8 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
     try:
         for path, mode, _ in outputs:
             handles.append(open(path, mode, encoding=None if "b" in mode else "utf-8"))
+        if len(handles) == 2 and os.path.samestat(*(os.fstat(fh.fileno()) for fh in handles)):
+            raise CliError("--out and --pgm name the same file")
         for (path, _, writer), fh in zip(outputs, handles):
             with fh:
                 writer(grid, fh)

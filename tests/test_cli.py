@@ -241,14 +241,58 @@ def _fig1_grid(spec: GridSpec) -> LandscapeGrid:
             ),
             kind="feasibility",
         ),
+        # value fields wider than the axis fields
+        lambda: LandscapeGrid(
+            GridSpec(0, 0.5, 0, 0.5, 3, 3),
+            np.array([[12.5, 0.25, -123.25], [1.0, 12.5, 0.0], [-0.0, 1e6, 0.5]]),
+            kind="feasibility",
+        ),
+        lambda: LandscapeGrid(
+            GridSpec(0, 1, 0, 1, 50, 50), np.random.default_rng(0).random((50, 50)), kind="probability"
+        ),
+        lambda: LandscapeGrid(
+            GridSpec(0, 1, 0, 1, 2, 2), np.array([[0.25, 1.0], [-0.0, 0.75]]), kind="probability"
+        ),
     ],
-    ids=["fig1-201", "fig1-range", "fig2-401", "signed-zeros"],
+    ids=["fig1-201", "fig1-range", "fig2-401", "signed-zeros", "wide-values", "all-distinct",
+         "axis-2"],
 )
 def test_landscape_csv_matches_cell_loop(make_grid):
     grid = make_grid()
     out = io.StringIO()
     cli._write_landscape_csv(grid, out)
     assert out.getvalue() == _reference_csv(grid)
+
+
+def _reference_pgm(grid: LandscapeGrid) -> bytes:
+    """The PGM image built pixel by pixel: rows follow c2, columns follow c1."""
+    v, n = grid.values, grid.spec.steps1
+    lo, hi = float(v.min()), float(v.max())
+    pixels = bytes(
+        round(255 * ((v[c1, c2] - lo) / (hi - lo))) if hi > lo else 0
+        for c2 in range(n)
+        for c1 in range(n)
+    )
+    return f"P5\n{n} {n}\n255\n".encode("ascii") + pixels
+
+
+@pytest.mark.parametrize(
+    "make_grid",
+    [
+        # not symmetric, so a writer that loses the transpose fails
+        lambda: LandscapeGrid(
+            GridSpec(0, 0.5, 0, 0.5, 5, 5), np.arange(25.0).reshape(5, 5) ** 1.5, kind="feasibility"
+        ),
+        lambda: LandscapeGrid(GridSpec(0, 0.5, 0, 0.5, 4, 4), np.full((4, 4), 0.3), kind="probability"),
+        lambda: _fig1_grid(DEFAULT_ENT_GRID),
+    ],
+    ids=["asymmetric", "constant", "fig1-201"],
+)
+def test_landscape_pgm_matches_pixel_loop(make_grid):
+    grid = make_grid()
+    out = io.BytesIO()
+    cli._write_landscape_pgm(grid, out)
+    assert out.getvalue() == _reference_pgm(grid)
 
 
 # sha256 of stdout, recorded while each scan still computed its second step
@@ -504,6 +548,22 @@ def test_unwritable_pgm_fails_before_any_output(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {bad}: ")
 
 
+@pytest.mark.parametrize("alias", ["dot-dot", "symlink", "hard-link"])
+def test_out_and_pgm_naming_one_file_exit_one(alias, tmp_path, capsys):
+    out = tmp_path / "fig2.out"
+    out.write_bytes(b"")
+    if alias == "dot-dot":
+        (tmp_path / "sub").mkdir()
+        pgm = tmp_path / "sub" / ".." / out.name
+    else:
+        pgm = tmp_path / "fig2.pgm"
+        (os.symlink if alias == "symlink" else os.link)(out, pgm)
+    assert run(["scan-fig2", *FIG2, "--grid", "11", "--out", str(out), "--pgm", str(pgm)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --out and --pgm name the same file\n")
+    assert out.read_bytes() == b""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("flag", ["--out", "--pgm"])
 def test_full_device_exits_one(tmp_path, capsys, flag):
@@ -700,9 +760,11 @@ def test_negative_beta_exits_one(argv, capsys):
         ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--resolution", "5e-324"],
         ["conjecture", "--trials", "1", "--resolution", "5e-324"],  # 0.5 / 5e-324 is inf
         ["check-flex", "--x", DEMO_X, "--y", DEMO_Y, "--cycle", ";"],
+        ["scan-fig2", *FIG2, "--grid", "3", "--out", "same.out", "--pgm", "same.out"],
     ],
 )
-def test_bad_search_arguments_exit_one(argv, capsys, recwarn):
+def test_bad_search_arguments_exit_one(argv, tmp_path, monkeypatch, capsys, recwarn):
+    monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
