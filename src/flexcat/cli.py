@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / checked relation true; 1 = input or validation
 error, an export file that cannot be written, --out and --pgm naming one
-file, or stdout closed by its reader; 2 = checked relation false or a
-search found a counterexample, so shell scripts can branch on the math.
+file (or --pgm naming the file stdout is redirected to), or stdout closed
+by its reader; 2 = checked relation false or a search found a
+counterexample, so shell scripts can branch on the math.
 
 Vectors are passed inline as comma-separated floats or through a JSON
 instance file with keys x, y, levels_s, levels_c, beta, cycle (inline flags
@@ -242,6 +243,14 @@ def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
     out.write(pixels.tobytes())
 
 
+def _same_file_as_stdout(stat: os.stat_result) -> bool:
+    """True iff stat is the file stdout writes to; False when stdout has no file descriptor."""
+    try:
+        return os.path.samestat(stat, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no fileno(), no descriptor, or closed
+        return False
+
+
 def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
     """Write the CSV to --out (or stdout) and the optional --pgm image.
 
@@ -249,6 +258,8 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
     before any output. An OSError on a file becomes a CliError naming that file.
     Two paths that open one file (the same name, `sub/../f`, a symlink or a
     hard link) are rejected: the second writer would write over the first.
+    So is a --pgm that opens the file stdout is redirected to when the CSV
+    goes to stdout; a stdout without a file descriptor is not compared.
     """
     outputs = []
     if args.out:
@@ -260,8 +271,11 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
     try:
         for path, mode, _ in outputs:
             handles.append(open(path, mode, encoding=None if "b" in mode else "utf-8"))
-        if len(handles) == 2 and os.path.samestat(*(os.fstat(fh.fileno()) for fh in handles)):
+        stats = [os.fstat(fh.fileno()) for fh in handles]
+        if len(stats) == 2 and os.path.samestat(*stats):
             raise CliError("--out and --pgm name the same file")
+        if stats and not args.out and _same_file_as_stdout(stats[0]):
+            raise CliError("--pgm and stdout name the same file")
         for (path, _, writer), fh in zip(outputs, handles):
             with fh:
                 writer(grid, fh)

@@ -15,6 +15,14 @@ A segment of zero width in floats (a Gibbs weight below about e^-37) never
 holds a point; a narrow one's slope, rounded by up to ulp/width, is never
 extended past its ends. Every catalysed check, thermo_flexible_ok and the
 thermal scans in search, builds its step curves in _step_curves.
+
+The all-pairs kernel dominance_matrix makes the same comparisons without
+making them one cell at a time. It evaluates each dominating curve once per
+run of consecutive rows with equal abscissae. Within a run every height
+column that is monotone in the row index passes on a prefix or suffix of
+the run, so each (row, run) pair reduces to one index interval. Only rows
+whose value falls inside a non-monotone column's range (a constant height
+jittering by an ulp) are compared cell by cell.
 """
 
 from __future__ import annotations
@@ -242,22 +250,60 @@ def dominance_matrix(
 ) -> np.ndarray:
     """Boolean matrix M[i, j] = curve A_i dominates curve B_j everywhere.
 
-    A_i's value at B_j's breakpoints depends on B_j only through its
-    abscissae xb[j], and scan rows share few distinct abscissa rows (the
-    ratio order changes only where two ratios cross). So A is evaluated once
-    per distinct row of xb, each value computed exactly as for a single row,
-    and compared against every member's heights.
+    Each cell is the conjunction over k of vals[i, k] >= yb[j, k] - CURVE_TOL,
+    where vals[i, k] is A_i at xb[j, k]; the kernel decides it without
+    comparing cell by cell.
+
+    - Runs. A_i's values at B_j's breakpoints depend on B_j only through
+      xb[j], and scan rows come in runs of consecutive equal abscissa rows
+      (the ratio order changes only where two ratios cross). A is evaluated
+      once per run. A row that recurs later starts another run, which stays
+      exact; the cost grows with the number of runs, so rows not grouped by
+      abscissa (random states in random order) take longer than scan rows.
+    - Interval bounds. Within a run, where height column k never falls,
+      row i's comparison holds on a prefix of the run, whose length
+      searchsorted finds; where it never rises, on a suffix. Each (row, run)
+      pair keeps the intersection [lo, hi) of its columns' intervals, and
+      the matrix is the run-length expansion of these intervals (np.repeat).
+    - Band rows. A column that both rises and falls (a height that is
+      constant in the catalyst weight, jittering by an ulp) empties the
+      intervals of rows below its minimum and leaves rows at or above its
+      maximum alone; only rows in between are compared cell by cell.
+
+    A NaN value empties its row's interval, as every comparison with it fails.
     """
-    ux, inverse, counts = np.unique(xb, axis=0, return_inverse=True, return_counts=True)
-    vals = _curve_values(xa, ya, ux[None])
+    m, size = xa.shape[0], xb.shape[0]
+    starts = np.flatnonzero(np.r_[True, (xb[1:] != xb[:-1]).any(axis=1)])
+    ends = np.r_[starts[1:], size]
+    lens = ends - starts
+    vals = _curve_values(xa, ya, xb[starts][None])  # (m, runs, n)
     floor = yb - CURVE_TOL
-    out = np.empty((xa.shape[0], xb.shape[0]), dtype=bool)
-    members = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
-    for g, cols in enumerate(members):
-        block = np.ones((xa.shape[0], len(cols)), dtype=bool)
-        for k in range(ux.shape[1]):
-            block &= vals[:, g, k, None] >= floor[None, cols, k]
-        out[:, cols] = block
+    # moves[0 or 1, t, k]: how often column k falls or rises within its first t + 1
+    # heights; a step to or from NaN counts as both
+    moves = np.zeros((2,) + floor.shape, dtype=np.intp)
+    np.cumsum(~(floor[1:] >= floor[:-1]), axis=0, out=moves[0, 1:])
+    np.cumsum(~(floor[1:] <= floor[:-1]), axis=0, out=moves[1, 1:])
+    never_falls, never_rises = (moves[:, ends - 1] == moves[:, starts]).tolist()  # (runs, n) each
+    lo = np.zeros((m, len(starts)), dtype=np.intp)
+    hi = np.where(np.isnan(vals).any(axis=2), 0, lens)
+    band = []  # (run, column, rows) compared cell by cell
+    for g, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        for k in range(xb.shape[1]):
+            v, col = vals[:, g, k], floor[a:b, k]
+            if never_falls[g][k]:
+                np.minimum(hi[:, g], col.searchsorted(v, "right"), out=hi[:, g])
+            elif never_rises[g][k]:
+                np.maximum(lo[:, g], b - a - col[::-1].searchsorted(v, "right"), out=lo[:, g])
+            else:
+                below, above = v < col.min(), v >= col.max()
+                hi[below, g] = 0
+                band.append((g, k, np.flatnonzero(~(below | above))))
+    np.maximum(hi, lo, out=hi)
+    pieces = np.stack([lo, hi - lo, lens - hi], axis=-1)
+    out = np.repeat(np.tile([False, True, False], lo.size), pieces.ravel()).reshape(m, size)
+    for g, k, rows in band:
+        a, b = starts[g], ends[g]
+        out[rows, a:b] &= vals[rows, g, k, None] >= floor[a:b, k]
     return out
 
 

@@ -564,6 +564,28 @@ def test_out_and_pgm_naming_one_file_exit_one(alias, tmp_path, capsys):
     assert out.read_bytes() == b""
 
 
+@pytest.mark.parametrize("alias", ["name", "symlink", "hard-link", "other-file"])
+def test_pgm_naming_stdout_file_exits_one(alias, tmp_path, capsys, monkeypatch):
+    """`--pgm f > f` would write the CSV on stdout over the PGM; another file is fine."""
+    target = tmp_path / "fig2.out"
+    target.write_bytes(b"")
+    pgm = target if alias == "name" else tmp_path / "fig2.pgm"
+    if alias in ("symlink", "hard-link"):
+        (os.symlink if alias == "symlink" else os.link)(target, pgm)
+    with open(target, "w", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        code = run(["scan-fig2", *FIG2, "--grid", "11", "--pgm", str(pgm)])
+    captured = capsys.readouterr()
+    if alias == "other-file":
+        assert (code, captured.err) == (0, "")
+        assert target.read_bytes().startswith(b"c1,c2,value\n")
+        assert pgm.read_bytes().startswith(b"P5\n")
+        return
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: --pgm and stdout name the same file\n"
+    assert target.read_bytes() == b""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("flag", ["--out", "--pgm"])
 def test_full_device_exits_one(tmp_path, capsys, flag):

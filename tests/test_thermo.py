@@ -30,7 +30,13 @@ from flexcat import (
 )
 from flexcat.errors import FlexcatError
 from flexcat.search import GridSpec, scan_thermo_feasibility
-from flexcat.thermo import CURVE_TOL, _tensor_rows, dominance_matrix, lorenz_breakpoints_batch
+from flexcat.thermo import (
+    CURVE_TOL,
+    _curve_values,
+    _tensor_rows,
+    dominance_matrix,
+    lorenz_breakpoints_batch,
+)
 from helpers import (
     BETA,
     LEVELS_C,
@@ -419,7 +425,100 @@ def test_dominance_matrix_equals_dense_reference(d):
     distinct = np.unique(xb, axis=0, return_index=True)[1]
     xb, yb = xb[distinct], yb[distinct]
     assert len(xb) >= 4
-    assert np.array_equal(dominance_matrix(xa, ya, xb, yb), _dense_dominance(xa, ya, xb, yb))
+    assert (xb[1:] != xb[:-1]).any(axis=1).all()  # sorted, so every run has one row
+    m = dominance_matrix(xa, ya, xb, yb)
+    assert np.array_equal(m, _dense_dominance(xa, ya, xb, yb))
+    assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
+
+
+def _grouped_dominance(xa, ya, xb, yb):
+    """The kernel before runs and interval bounds: one group per distinct abscissa row,
+    every member compared column by column."""
+    ux, inverse, counts = np.unique(xb, axis=0, return_inverse=True, return_counts=True)
+    vals = _curve_values(xa, ya, ux[None])
+    floor = yb - CURVE_TOL
+    out = np.empty((xa.shape[0], xb.shape[0]), dtype=bool)
+    members = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    for g, cols in enumerate(members):
+        block = np.ones((xa.shape[0], len(cols)), dtype=bool)
+        for k in range(ux.shape[1]):
+            block &= vals[:, g, k, None] >= floor[None, cols, k]
+        out[:, cols] = block
+    return out
+
+
+def _random_scan_pair(rng, d, cs, levels_c=None):
+    """Scan curves of two random states on axis cs, relative to a random Gibbs reference."""
+    beta = rng.uniform(0.3, 2.0)
+    levels_c = [0.0, rng.uniform(0.2, 2.0)] if levels_c is None else levels_c
+    gamma = gibbs_tensor(
+        gibbs_vector(rng.uniform(0.0, 3.0, d), beta), gibbs_vector(levels_c, beta)
+    ).as_array()
+    return [_scan_curves(random_prob(rng, d).as_array(), cs, gamma) for _ in range(2)]
+
+
+def _assert_matches_grouped(a, b):
+    for curves in ((*a, *b), (*b, *a)):
+        assert np.array_equal(dominance_matrix(*curves), _grouped_dominance(*curves))
+
+
+AXIS = np.linspace(0.0, 1.0, 201)
+GROUPED_SCANS = {  # (d, weight axis, catalyst levels; None draws a random gap)
+    "constant-heights": (4, AXIS, [0.0, 0.0]),
+    "reversed": (4, AXIS[::-1], None),
+    "recurring": (3, np.concatenate([AXIS, AXIS[::-1], AXIS]), None),
+    "axis-2": (3, np.array([0.0, 1.0]), None),
+    **{f"grid-1001-d{d}": (d, np.linspace(0.0, 1.0, 1001), None) for d in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("d, cs, levels_c", GROUPED_SCANS.values(), ids=GROUPED_SCANS.keys())
+def test_dominance_matrix_equals_grouped_reference(d, cs, levels_c):
+    rng = np.random.default_rng(1000 + len(cs) + d)
+    for _ in range(2):
+        a, b = _random_scan_pair(rng, d, cs, levels_c)
+        _assert_matches_grouped(a, b)
+        if len(np.unique(cs)) < len(cs):  # the axis turns back, so abscissa rows recur
+            xb = b[0]
+            assert 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > len(np.unique(xb, axis=0))
+
+
+def test_dominance_matrix_band_rows_match_grouped_reference():
+    """Rows whose value lies inside a jittering column's range are compared cell by cell.
+
+    With a Gibbs catalyst reference (0.5, 0.5) the prefix heights that close both
+    catalyst levels of a system level are constant in c and jitter by an ulp. A
+    curve A_i equal to B_i lowered by CURVE_TOL takes, at its own abscissae, the
+    value yb[i] - CURVE_TOL exactly, so rows of one run land inside the jitter.
+    """
+    rng = np.random.default_rng(5)
+    (xb, yb), _ = _random_scan_pair(rng, 4, AXIS, [0.0, 0.0])
+    xa, ya = xb, yb - CURVE_TOL
+    starts = np.flatnonzero(np.r_[True, (xb[1:] != xb[:-1]).any(axis=1)])
+    vals = _curve_values(xa, ya, xb[starts][None])
+    floor = yb - CURVE_TOL
+    band_cells = 0
+    for g, (a, b) in enumerate(zip(starts, np.r_[starts[1:], len(xb)])):
+        for k in range(xb.shape[1]):
+            col, steps = floor[a:b, k], np.diff(floor[a:b, k])
+            if (steps < 0).any() and (steps > 0).any():
+                band_cells += ((vals[:, g, k] >= col.min()) & (vals[:, g, k] < col.max())).sum()
+    assert band_cells > 0
+    m = dominance_matrix(xa, ya, xb, yb)
+    assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
+    assert 0 < m.sum() < m.size
+
+
+def test_dominance_matrix_nan_values_fail_like_grouped_reference():
+    rng = np.random.default_rng(8)
+    (xa, ya), (xb, yb) = _random_scan_pair(rng, 3, AXIS)
+    ya, yb = ya.copy(), yb.copy()
+    ya[3] = np.nan
+    ya[::7, 2] = np.nan
+    yb[::5, 3] = np.nan
+    m = dominance_matrix(xa, ya, xb, yb)
+    assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
+    assert not m[3].any() and not m[:, ::5].any() and m.any()
 
 
 def _tied_state(rng, g: np.ndarray) -> tuple[float, ...]:
