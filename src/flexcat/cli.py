@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -45,7 +46,6 @@ from .probvec import (
     THERMO_GRID_STEPS,
     Cycle,
     ProbVec,
-    SchmidtVec,
     gibbs_vector,
     make_cycle,
     make_prob_vec,
@@ -243,10 +243,10 @@ def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
     out.write(pixels.tobytes())
 
 
-def _same_file_as_stdout(stat: os.stat_result) -> bool:
-    """True iff stat is the file stdout writes to; False when stdout has no file descriptor."""
+def _same_file_as_stdout(st: os.stat_result) -> bool:
+    """True iff st is the file stdout writes to; False when stdout has no file descriptor."""
     try:
-        return os.path.samestat(stat, os.fstat(sys.stdout.fileno()))
+        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
     except (AttributeError, OSError, ValueError):  # no fileno(), no descriptor, or closed
         return False
 
@@ -256,10 +256,11 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
 
     Every file is opened before any output is written, so a bad path fails
     before any output. An OSError on a file becomes a CliError naming that file.
-    Two paths that open one file (the same name, `sub/../f`, a symlink or a
-    hard link) are rejected: the second writer would write over the first.
-    So is a --pgm that opens the file stdout is redirected to when the CSV
-    goes to stdout; a stdout without a file descriptor is not compared.
+    Two paths that open one regular file (the same name, `sub/../f`, a
+    symlink or a hard link) are rejected: the second writer would write over
+    the first. So is a --pgm that opens the regular file stdout is redirected
+    to when the CSV goes to stdout; a stdout without a file descriptor is not
+    compared. A device such as /dev/null is never a clash.
     """
     outputs = []
     if args.out:
@@ -271,10 +272,12 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
     try:
         for path, mode, _ in outputs:
             handles.append(open(path, mode, encoding=None if "b" in mode else "utf-8"))
+        # only a regular file has an offset that a second writer would write over
         stats = [os.fstat(fh.fileno()) for fh in handles]
-        if len(stats) == 2 and os.path.samestat(*stats):
+        files = [st for st in stats if stat.S_ISREG(st.st_mode)]
+        if len(files) == 2 and os.path.samestat(*files):
             raise CliError("--out and --pgm name the same file")
-        if stats and not args.out and _same_file_as_stdout(stats[0]):
+        if files and not args.out and _same_file_as_stdout(files[0]):
             raise CliError("--pgm and stdout name the same file")
         for (path, _, writer), fh in zip(outputs, handles):
             with fh:
@@ -436,6 +439,7 @@ def _reproduce_rows(section: str) -> list[tuple[str, float, float, float]]:
     """(name, expected, computed, tolerance) rows for the requested section."""
     from .search import (
         DEFAULT_THERMO_GRID,
+        _catalyst,
         best_flexible,
         best_standard,
         per_step_probability,
@@ -456,7 +460,7 @@ def _reproduce_rows(section: str) -> list[tuple[str, float, float, float]]:
         rows.append(("best_flexible_weight_1", 0.3936, flex.params[0], 5e-3))
         rows.append(("best_flexible_weight_2", 0.2149, flex.params[1], 5e-3))
         rows.append(("best_flexible_value", 0.7666, flex.value, 2e-3))
-        reference = Cycle((SchmidtVec((1 - 0.3936, 0.3936)), SchmidtVec((1 - 0.2149, 0.2149))))
+        reference = Cycle((_catalyst(0.3936), _catalyst(0.2149)))
         rows.append(("per_step_at_reference_cycle", 0.7666, per_step_probability(x4, y4, reference), 2e-3))
     if section in ("thermo", "all"):
         gamma = gibbs_vector(THERMO_LEVELS_S, THERMO_BETA)

@@ -2,11 +2,22 @@
 
 All values are immutable after construction and every operation is a pure
 function, so they can be shared freely across threads.
+
+Each input is checked and converted once. _clamped makes make_prob_vec's
+checks in a few C-level scans and falls back to the per-entry loop of
+_reject only to raise, so every error keeps its class, message and
+precedence. The public constructors ProbVec, SchmidtVec and GibbsVec run the
+same checks on the values they are given, but neither clamp nor renormalize
+them. A vector the package builds from values it has already checked, or
+that are valid by construction (sorts, tensor products), is made by _build,
+which checks nothing. Computed Gibbs weights go through _gibbs, which checks
+only that none has underflowed to 0.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -46,12 +57,19 @@ THERMO_GRID_STEPS = 401
 
 @dataclass(frozen=True)
 class ProbVec:
-    """Finite probability distribution: non-negative entries, unit sum."""
+    """Finite probability distribution: non-negative entries, unit sum.
+
+    Raises what make_prob_vec raises, but keeps the entries as given: an
+    entry within CLAMP of zero is not clamped and a sum within SUM_TOL of 1
+    is not renormalized.
+    """
 
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        vals = list(map(float, self.values))
+        _clamped(vals)
+        object.__setattr__(self, "values", tuple(vals))
 
     @property
     def dim(self) -> int:
@@ -82,31 +100,49 @@ class SchmidtVec(ProbVec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        vals = self.values
-        for i in range(len(vals) - 1):
-            if vals[i] < vals[i + 1]:
-                raise NotSorted(f"entries must be non-increasing, got {vals}")
+        _check_sorted(self.values)
 
 
 @dataclass(frozen=True)
 class GibbsVec(ProbVec):
-    """ProbVec with strictly positive entries (a valid thermal reference)."""
+    """ProbVec with strictly positive entries (a valid thermal reference), kept below CLAMP too."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if any(v <= 0.0 for v in self.values):
-            raise FlexcatError("reference distribution must be strictly positive")
+        _check_positive(self.values)
 
 
-def make_prob_vec(raw: Iterable[float]) -> ProbVec:
-    """Validate and normalize a raw sequence into a ProbVec.
+def _build(cls: type[ProbVec], values: tuple[float, ...]) -> ProbVec:
+    """A cls holding float values that are valid already; nothing is checked or converted."""
+    vec = object.__new__(cls)
+    object.__setattr__(vec, "values", values)
+    return vec
 
-    NaN or infinite entries raise NonFiniteEntry and entries strictly below
-    -CLAMP raise NegativeEntry; entries within CLAMP of zero are clamped to
-    exactly 0. Sums within SUM_TOL of unity are renormalized to exact unit
-    sum, anything further off raises BadNormalization.
+
+def _check_sorted(vals: tuple[float, ...]) -> None:
+    # the pairwise `<` lets a NaN pass, as a loop over adjacent entries would
+    if any(map(operator.lt, vals, vals[1:])):
+        raise NotSorted(f"entries must be non-increasing, got {vals}")
+
+
+def _check_positive(vals: tuple[float, ...]) -> None:
+    if min(vals) <= 0.0:  # vals are finite and non-empty here
+        raise FlexcatError("reference distribution must be strictly positive")
+
+
+def _gibbs(weights: tuple[float, ...]) -> GibbsVec:
+    """A GibbsVec of normalized weights the package computed, once none has underflowed to 0."""
+    _check_positive(weights)
+    return _build(GibbsVec, weights)
+
+
+def _reject(vals: list[float]) -> tuple[list[float], float]:
+    """make_prob_vec's checks one entry at a time, in their order of precedence.
+
+    The error path of _clamped: it raises the first failure, so each error
+    keeps its class and message. Returns what _clamped returns should the
+    values pass after all.
     """
-    vals = [float(v) for v in raw]
     if not vals:
         raise EmptyVector("probability vector needs at least one entry")
     for v in vals:
@@ -121,7 +157,49 @@ def make_prob_vec(raw: Iterable[float]) -> ProbVec:
         total = math.inf
     if abs(total - 1.0) > SUM_TOL:
         raise BadNormalization(f"entries sum to {total}, expected 1 within {SUM_TOL}")
-    return ProbVec(tuple(v / total for v in vals))
+    return vals, total
+
+
+def _clamped(vals: list[float]) -> tuple[list[float], float]:
+    """The entries with those within CLAMP of zero made exact zeros, and their sum.
+
+    Raises as make_prob_vec documents. Valid input takes a few C-level
+    scans; exact zeros and entries within CLAMP stay on this path. Anything
+    else goes to _reject.
+    """
+    if vals and all(map(math.isfinite, vals)):
+        low = min(vals)
+        if low >= -CLAMP:
+            clamped = vals if low > CLAMP else [0.0 if abs(v) <= CLAMP else v for v in vals]
+            try:
+                total = math.fsum(clamped)
+            except OverflowError:
+                return _reject(vals)
+            if abs(total - 1.0) <= SUM_TOL:
+                return clamped, total
+    return _reject(vals)
+
+
+def _normalized(raw: Iterable[float]) -> tuple[float, ...]:
+    """The values make_prob_vec gives raw: checked, clamped and divided by their sum."""
+    vals, total = _clamped(list(map(float, raw)))
+    return tuple(vals) if total == 1.0 else tuple(v / total for v in vals)
+
+
+def _values(p: ProbVec | Sequence[float]) -> tuple[float, ...]:
+    """The values of a ProbVec, or of make_prob_vec(p) without building it."""
+    return p.values if isinstance(p, ProbVec) else _normalized(p)
+
+
+def make_prob_vec(raw: Iterable[float]) -> ProbVec:
+    """Validate and normalize a raw sequence into a ProbVec.
+
+    NaN or infinite entries raise NonFiniteEntry and entries strictly below
+    -CLAMP raise NegativeEntry; entries within CLAMP of zero are clamped to
+    exactly 0. Sums within SUM_TOL of unity are renormalized to exact unit
+    sum, anything further off raises BadNormalization.
+    """
+    return _build(ProbVec, _normalized(raw))
 
 
 def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
@@ -143,27 +221,26 @@ def gibbs_vector(levels: Sequence[float], beta: float) -> GibbsVec:
         raise BadRange("energy levels must differ by a finite amount")
     weights = [math.exp(-beta * (e - emin)) for e in lv]
     z = math.fsum(weights)
-    return GibbsVec(tuple(w / z for w in weights))
+    return _gibbs(tuple(w / z for w in weights))
 
 
 def sort_desc(p: ProbVec | Sequence[float]) -> SchmidtVec:
     """Reorder a distribution non-increasingly (stable on ties)."""
-    vec = as_prob_vec(p)
-    return SchmidtVec(tuple(sorted(vec.values, reverse=True)))
+    return _build(SchmidtVec, tuple(sorted(_values(p), reverse=True)))
 
 
 def uniform(d: int) -> SchmidtVec:
     """The flat distribution on d outcomes."""
     if d < 1:
         raise EmptyVector("dimension must be positive")
-    return SchmidtVec(tuple([1.0 / d] * d))
+    return _build(SchmidtVec, (1.0 / d,) * d)
 
 
 def tensor(a: ProbVec | Sequence[float], b: ProbVec | Sequence[float]) -> ProbVec:
     """Product distribution with entries a_i * b_j, dim = dim(a) * dim(b)."""
-    va = as_prob_vec(a)
-    vb = as_prob_vec(b)
-    return ProbVec(tuple(x * y for x in va.values for y in vb.values))
+    va = _values(a)
+    vb = _values(b)
+    return _build(ProbVec, tuple([x * y for x in va for y in vb]))
 
 
 def tail_sum(x: SchmidtVec | Sequence[float], l: int) -> float:
@@ -185,7 +262,9 @@ def as_schmidt_vec(x: ProbVec | Sequence[float]) -> SchmidtVec:
     """Coerce to SchmidtVec, raising NotSorted for unsorted input."""
     if isinstance(x, SchmidtVec):
         return x
-    return SchmidtVec(as_prob_vec(x).values)
+    vals = _values(x)
+    _check_sorted(vals)
+    return _build(SchmidtVec, vals)
 
 
 @dataclass(frozen=True)

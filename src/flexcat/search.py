@@ -37,6 +37,7 @@ from .probvec import (
     Cycle,
     ProbVec,
     SchmidtVec,
+    _build,
     as_schmidt_vec,
     gibbs_vector,
 )
@@ -253,6 +254,12 @@ def _refine_constant(
     return _pattern_search(objective, [start], float(cs[1] - cs[0]), [bound])
 
 
+def _catalyst(c: float) -> SchmidtVec:
+    """The state (1-c, c) of a weight c in [0, 0.5]: sorted and normalized by construction."""
+    c = float(c)  # a weight clipped to the axis can be an int bound of a GridSpec
+    return _build(SchmidtVec, (1.0 - c, c))
+
+
 def best_standard(
     x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float], resolution: float = 0.0025
 ) -> OptResult:
@@ -265,7 +272,7 @@ def best_standard(
 
     def objective(params: Sequence[float]) -> float:
         c = params[0]
-        return per_step_probability(vx, vy, Cycle((SchmidtVec((1.0 - c, c)),)))
+        return per_step_probability(vx, vy, Cycle((_catalyst(c),)))
 
     return OptResult(*_refine_constant(objective, cs, diag))
 
@@ -289,7 +296,7 @@ def best_flexible(
 
     def objective(params: Sequence[float]) -> float:
         c1, c2 = params
-        cycle = Cycle((SchmidtVec((1.0 - c1, c1)), SchmidtVec((1.0 - c2, c2))))
+        cycle = Cycle((_catalyst(c1), _catalyst(c2)))
         return per_step_probability(vx, vy, cycle)
 
     pitch = float(cs[1] - cs[0])
@@ -368,7 +375,7 @@ MAX_SAMPLE_ATTEMPTS = 100_000
 def _draw_sorted_simplex(rng: np.random.Generator, d: int) -> SchmidtVec:
     draws = rng.exponential(1.0, d)
     vec = np.sort(draws / draws.sum())[::-1]
-    return SchmidtVec(tuple(vec))
+    return _build(SchmidtVec, tuple(vec.tolist()))
 
 
 def _sample_incomparable(rng: np.random.Generator, d: int) -> tuple[SchmidtVec, SchmidtVec, int]:

@@ -41,21 +41,24 @@ from .probvec import (
     Cycle,
     GibbsVec,
     ProbVec,
+    _clamped,
+    _gibbs,
     as_prob_vec,
     gibbs_vector,
-    make_prob_vec,
     tensor,
 )
 
 
 def as_gibbs_vec(g: ProbVec | Sequence[float]) -> GibbsVec:
     """Strictly positive reference; a plain sequence is not clamped (Gibbs weights can be < CLAMP)."""
+    if isinstance(g, GibbsVec):
+        return g
     if isinstance(g, ProbVec):
-        return g if isinstance(g, GibbsVec) else GibbsVec(g.values)
-    vals = [float(v) for v in g]
-    make_prob_vec(vals)  # raises on NaN, infinite or negative entries and bad sums
+        return _gibbs(g.values)
+    vals = list(map(float, g))
+    _clamped(vals)  # raises on NaN, infinite or negative entries and bad sums
     total = math.fsum(vals)
-    return GibbsVec(tuple(v / total for v in vals))
+    return _gibbs(tuple(v / total for v in vals))
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def gibbs_tensor(gamma_s: ProbVec | Sequence[float], gamma_c: ProbVec | Sequence
     Equals the Gibbs vector of the summed energy levels, computed as a plain
     product to avoid re-exponentiation error.
     """
-    return GibbsVec(tensor(as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)).values)
+    return _gibbs(tensor(as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)).values)
 
 
 def _tensor_rows(v: np.ndarray, states: np.ndarray) -> np.ndarray:

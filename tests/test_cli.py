@@ -564,9 +564,24 @@ def test_out_and_pgm_naming_one_file_exit_one(alias, tmp_path, capsys):
     assert out.read_bytes() == b""
 
 
-@pytest.mark.parametrize("alias", ["name", "symlink", "hard-link", "other-file"])
+@pytest.mark.parametrize(
+    "alias", ["name", "symlink", "hard-link", "other-file", "device", "device-out"]
+)
 def test_pgm_naming_stdout_file_exits_one(alias, tmp_path, capsys, monkeypatch):
-    """`--pgm f > f` would write the CSV on stdout over the PGM; another file is fine."""
+    """`--pgm f > f` would write the CSV on stdout over the PGM; another file is fine.
+
+    A device has no offset to write over: `--pgm /dev/null > /dev/null` and
+    `--out /dev/null --pgm /dev/null` are no clash.
+    """
+    if alias.startswith("device"):
+        if not os.path.exists(os.devnull):
+            pytest.skip("needs a null device")
+        out = ["--out", os.devnull] if alias == "device-out" else []
+        with open(os.devnull, "w", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            code = run(["scan-fig2", *FIG2, "--grid", "11", *out, "--pgm", os.devnull])
+        assert (code, capsys.readouterr().err) == (0, "")
+        return
     target = tmp_path / "fig2.out"
     target.write_bytes(b"")
     pgm = target if alias == "name" else tmp_path / "fig2.pgm"

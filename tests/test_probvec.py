@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,19 +14,26 @@ from flexcat import (
     DimensionMismatch,
     EmptyCycle,
     EmptyVector,
+    FlexcatError,
+    GibbsVec,
     IndexOutOfRange,
     NegativeEntry,
     NonFiniteEntry,
     NotSorted,
     ProbVec,
     SchmidtVec,
+    gibbs_vector,
     make_cycle,
     make_prob_vec,
     sort_desc,
     tail_sum,
     tensor,
+    thermo_majorizes,
     uniform,
+    vidal_probability,
 )
+from flexcat.probvec import CLAMP, SUM_TOL, as_schmidt_vec
+from flexcat.thermo import as_gibbs_vec
 
 
 def test_make_prob_vec_symmetric():
@@ -181,3 +189,182 @@ def test_prob_vec_is_immutable():
     with pytest.raises(AttributeError):
         v.values = (1.0, 0.0)
     assert isinstance(v, ProbVec)
+
+
+def test_public_constructors_reject_what_make_prob_vec_rejects():
+    y = (0.4, 0.3, 0.2, 0.1)
+    with pytest.raises(NonFiniteEntry, match="entry nan is not finite"):
+        vidal_probability(ProbVec((0.5, math.nan, 0.5, 0.0)), y)
+    with pytest.raises(BadNormalization, match="entries sum to 3.0"):
+        vidal_probability(SchmidtVec((0.9, 0.8, 0.7, 0.6)), y)
+    with pytest.raises(BadNormalization):
+        thermo_majorizes(ProbVec((0.5, 0.5, 0.5)), (0.2, 0.3, 0.5), gibbs_vector((0, 1, 2), 1.0))
+    with pytest.raises(NegativeEntry, match="entry -1.0 is negative"):
+        make_cycle([ProbVec((2.0, -1.0))])
+    with pytest.raises(EmptyVector):
+        GibbsVec(())
+    with pytest.raises(NonFiniteEntry):
+        GibbsVec((math.inf, 0.5))
+
+
+def test_public_constructors_keep_values_as_given():
+    # checked, but neither clamped nor renormalized
+    assert ProbVec((0.5 + 4e-10, 0.5, -1e-16)).values == (0.5 + 4e-10, 0.5, -1e-16)
+    assert SchmidtVec((1, 0)).values == (1.0, 0.0)
+    tiny = GibbsVec((1.0 - 1e-20, 1e-20))
+    assert tiny.values == (1.0 - 1e-20, 1e-20)
+    with pytest.raises(FlexcatError, match="reference distribution must be strictly positive"):
+        GibbsVec((1.0, 1e-16, 0.0))
+
+
+def test_package_built_vectors_stay_valid_types():
+    g = gibbs_vector((0.0, 1.0, 2.0), 1.0)
+    assert type(g) is GibbsVec and all(type(v) is float for v in g.values)
+    assert type(uniform(3)) is SchmidtVec and uniform(3) == SchmidtVec((1 / 3,) * 3)
+    with pytest.raises(FlexcatError, match="strictly positive"):
+        gibbs_vector((0.0, 2000.0), 1.0)  # exp(-2000) underflows to 0
+
+
+# The parent's make_prob_vec and constructor bodies, kept as the slow reference
+# for the one-pass checks; each returns a class and a tuple of values.
+
+
+def _ref_make_prob_vec(raw):
+    vals = [float(v) for v in raw]
+    if not vals:
+        raise EmptyVector("probability vector needs at least one entry")
+    for v in vals:
+        if not math.isfinite(v):
+            raise NonFiniteEntry(f"entry {v} is not finite")
+        if v < -CLAMP:
+            raise NegativeEntry(f"entry {v} is negative")
+    vals = [0.0 if abs(v) <= CLAMP else v for v in vals]
+    try:
+        total = math.fsum(vals)
+    except OverflowError:
+        total = math.inf
+    if abs(total - 1.0) > SUM_TOL:
+        raise BadNormalization(f"entries sum to {total}, expected 1 within {SUM_TOL}")
+    return tuple(v / total for v in vals)
+
+
+def _ref_sorted(vals):
+    for i in range(len(vals) - 1):
+        if vals[i] < vals[i + 1]:
+            raise NotSorted(f"entries must be non-increasing, got {vals}")
+    return vals
+
+
+def _ref_positive(vals):
+    if any(v <= 0.0 for v in vals):
+        raise FlexcatError("reference distribution must be strictly positive")
+    return vals
+
+
+def _ref_constructed(raw):
+    """Checked by make_prob_vec's rules, then kept as given."""
+    vals = tuple(float(v) for v in raw)
+    _ref_make_prob_vec(vals)
+    return vals
+
+
+def _ref_as_gibbs_vec(raw):
+    vals = [float(v) for v in raw]
+    _ref_make_prob_vec(vals)
+    total = math.fsum(vals)
+    return _ref_positive(tuple(v / total for v in vals))
+
+
+PAIRS = {
+    "make_prob_vec": (make_prob_vec, lambda raw: (ProbVec, _ref_make_prob_vec(raw))),
+    "as_schmidt_vec": (
+        as_schmidt_vec,
+        lambda raw: (SchmidtVec, _ref_sorted(_ref_make_prob_vec(raw))),
+    ),
+    "sort_desc": (
+        sort_desc,
+        lambda raw: (SchmidtVec, tuple(sorted(_ref_make_prob_vec(raw), reverse=True))),
+    ),
+    "ProbVec": (ProbVec, lambda raw: (ProbVec, _ref_constructed(raw))),
+    "SchmidtVec": (SchmidtVec, lambda raw: (SchmidtVec, _ref_sorted(_ref_constructed(raw)))),
+    "GibbsVec": (GibbsVec, lambda raw: (GibbsVec, _ref_positive(_ref_constructed(raw)))),
+    "as_gibbs_vec": (as_gibbs_vec, lambda raw: (GibbsVec, _ref_as_gibbs_vec(raw))),
+    "tensor": (
+        lambda raw: tensor(raw, (0.25, 0.75)),
+        lambda raw: (ProbVec, tuple(x * y for x in _ref_make_prob_vec(raw) for y in (0.25, 0.75))),
+    ),
+}
+
+EDGE_ENTRIES = (0.0, -0.0, CLAMP, -CLAMP, 1e-16, -1e-16, 5e-324)
+BAD_ENTRIES = (math.nan, math.inf, -math.inf, -2 * CLAMP, -0.1)
+
+
+def _draw_entries(rng: random.Random) -> list[float]:
+    d = rng.randint(1, 9)
+    draws = [rng.expovariate(1.0) for _ in range(d)]
+    if rng.random() < 0.3:  # ties
+        draws = [rng.choice(draws[:2]) for _ in range(d)]
+    total = math.fsum(draws)
+    vals = [v / total for v in draws]
+    roll = rng.random()
+    if roll < 0.3:
+        for _ in range(rng.randint(1, 3)):
+            vals.insert(rng.randint(0, len(vals)), rng.choice(EDGE_ENTRIES))
+    elif roll < 0.45:
+        for _ in range(rng.randint(1, 2)):
+            vals.insert(rng.randint(0, len(vals)), rng.choice(BAD_ENTRIES))
+    elif roll < 0.65:
+        scale = 1.0 + rng.choice((-2, -1, -0.5, 0.5, 1, 2)) * SUM_TOL
+        vals = [v * scale for v in vals]
+    elif roll < 0.7:  # sums that overflow fsum, or are finite but far from 1
+        vals = [rng.choice((1e308, 1.7e308, 8e307)) for _ in range(d)]
+        if rng.random() < 0.5:
+            vals[-1] = 1.0
+    elif roll < 0.75:
+        vals = [0] * d
+        vals[rng.randrange(d)] = 1
+    elif roll < 0.78:
+        vals = []
+    if rng.random() < 0.5:
+        vals.sort(reverse=True)
+    return vals
+
+
+def _dress(vals: list[float], form: str):
+    """A fresh input of the given form; a generator can be read only once."""
+    if form == "list":
+        return list(vals)
+    if form == "generator":
+        return (v for v in vals)
+    if form == "numpy-scalars":
+        return tuple(np.float64(v) if isinstance(v, float) else np.int64(v) for v in vals)
+    return tuple(vals)
+
+
+def _made(fn, raw):
+    vec = fn(raw)
+    return type(vec), vec.values
+
+
+def _outcome(fn, raw):
+    try:
+        cls, vals = fn(raw)
+    except FlexcatError as exc:
+        return type(exc), str(exc)
+    return cls, [v.hex() if type(v) is float else repr(v) for v in vals]
+
+
+def test_one_pass_checks_match_slow_reference():
+    rng = random.Random(20261018)
+    forms = ("tuple", "list", "generator", "numpy-scalars")
+    seen = set()
+    for _ in range(5000):
+        vals = _draw_entries(rng)
+        form = rng.choice(forms)
+        for name, (fast, slow) in PAIRS.items():
+            got = _outcome(lambda raw: _made(fast, raw), _dress(vals, form))
+            want = _outcome(slow, _dress(vals, form))
+            assert got == want, (name, form, vals)
+            seen.add(got[0])
+    assert {ProbVec, SchmidtVec, GibbsVec, EmptyVector, NonFiniteEntry, NegativeEntry} <= seen
+    assert {BadNormalization, NotSorted, FlexcatError} <= seen
