@@ -206,12 +206,12 @@ def test_scan_fig2_feasibility_csv(tmp_path):
 
 def _reference_csv(grid: LandscapeGrid) -> str:
     """The landscape CSV written cell by cell, as the exporter once did."""
-    a = grid.spec.axis1()
+    a, v = grid.spec.axis1().tolist(), grid.values.tolist()  # Python floats format as numpy's do
     out = io.StringIO()
     out.write("c1,c2,value\n")
     for i in range(grid.spec.steps1):
         for j in range(grid.spec.steps1):
-            out.write(f"{a[i]:.6f},{a[j]:.6f},{grid.values[i, j]:.6f}\n")
+            out.write(f"{a[i]:.6f},{a[j]:.6f},{v[i][j]:.6f}\n")
     return out.getvalue()
 
 
@@ -219,45 +219,73 @@ def _fig1_grid(spec: GridSpec) -> LandscapeGrid:
     return scan_pflex_landscape(schmidt(X_DEMO4), schmidt(Y_DEMO4), spec)
 
 
+def _fig2_grid(steps: int) -> LandscapeGrid:
+    return scan_thermo_feasibility(
+        cli.THERMO_P, cli.THERMO_Q, cli.THERMO_LEVELS_S, cli.THERMO_LEVELS_C,
+        cli.THERMO_BETA, GridSpec(0, 1, 0, 1, steps, steps),
+    )
+
+
+def _random_grid(steps: int) -> LandscapeGrid:
+    spec = GridSpec(0, 1, 0, 1, steps, steps)
+    return LandscapeGrid(spec, np.random.default_rng(steps).random((steps, steps)), kind="probability")
+
+
+# Fields of a grid on [0, 1] with values in [0, 1) are 9 bytes wide ("0.500000," and
+# "0.500000\n"), so a row of n cells fills 27 * n bytes of the block budget.
 @pytest.mark.parametrize(
-    "make_grid",
+    "make_grid, block_bytes",
     [
-        lambda: _fig1_grid(DEFAULT_ENT_GRID),
-        lambda: _fig1_grid(GridSpec(0.1, 0.4, 0.1, 0.4, 201, 201)),
-        lambda: scan_thermo_feasibility(
-            cli.THERMO_P, cli.THERMO_Q, cli.THERMO_LEVELS_S, cli.THERMO_LEVELS_C,
-            cli.THERMO_BETA, DEFAULT_THERMO_GRID,
-        ),
+        (lambda: _fig1_grid(DEFAULT_ENT_GRID), None),
+        (lambda: _fig1_grid(GridSpec(0.1, 0.4, 0.1, 0.4, 201, 201)), None),
+        (lambda: _fig2_grid(DEFAULT_THERMO_GRID.steps1), None),
+        (lambda: _fig2_grid(1001), None),
+        (lambda: _random_grid(7), 3 * 27 * 7),  # blocks of 3, 3 and 1 rows
+        (lambda: _random_grid(7), 27 * 7 - 1),  # a row wider than the budget: one row a block
         # not symmetric, so a writer that transposes the grid fails
-        lambda: LandscapeGrid(
-            GridSpec(-0.5, 0.25, -0.5, 0.25, 4, 4),
-            np.array(
-                [
-                    [-0.0, 0.0, -1e-13, 5e-7],
-                    [4.999999e-7, 1.0, math.nan, -0.0],
-                    [0.0, 1.0, 5e-7, -1e-13],
-                    [1.0, -0.0, 0.0, 4.999999e-7],
-                ]
+        (
+            lambda: LandscapeGrid(
+                GridSpec(-0.5, 0.25, -0.5, 0.25, 4, 4),
+                np.array(
+                    [
+                        [-0.0, 0.0, -1e-13, 5e-7],
+                        [4.999999e-7, 1.0, math.nan, -0.0],
+                        [0.0, 1.0, 5e-7, -1e-13],
+                        [1.0, -0.0, 0.0, 4.999999e-7],
+                    ]
+                ),
+                kind="feasibility",
             ),
-            kind="feasibility",
+            None,
         ),
         # value fields wider than the axis fields
-        lambda: LandscapeGrid(
-            GridSpec(0, 0.5, 0, 0.5, 3, 3),
-            np.array([[12.5, 0.25, -123.25], [1.0, 12.5, 0.0], [-0.0, 1e6, 0.5]]),
-            kind="feasibility",
+        (
+            lambda: LandscapeGrid(
+                GridSpec(0, 0.5, 0, 0.5, 3, 3),
+                np.array([[12.5, 0.25, -123.25], [1.0, 12.5, 0.0], [-0.0, 1e6, 0.5]]),
+                kind="feasibility",
+            ),
+            None,
         ),
-        lambda: LandscapeGrid(
-            GridSpec(0, 1, 0, 1, 50, 50), np.random.default_rng(0).random((50, 50)), kind="probability"
+        (
+            lambda: LandscapeGrid(
+                GridSpec(0, 1, 0, 1, 50, 50), np.random.default_rng(0).random((50, 50)), kind="probability"
+            ),
+            None,
         ),
-        lambda: LandscapeGrid(
-            GridSpec(0, 1, 0, 1, 2, 2), np.array([[0.25, 1.0], [-0.0, 0.75]]), kind="probability"
+        (
+            lambda: LandscapeGrid(
+                GridSpec(0, 1, 0, 1, 2, 2), np.array([[0.25, 1.0], [-0.0, 0.75]]), kind="probability"
+            ),
+            None,
         ),
     ],
-    ids=["fig1-201", "fig1-range", "fig2-401", "signed-zeros", "wide-values", "all-distinct",
-         "axis-2"],
+    ids=["fig1-201", "fig1-range", "fig2-401", "fig2-1001", "partial-last-block", "row-over-budget",
+         "signed-zeros", "wide-values", "all-distinct", "axis-2"],
 )
-def test_landscape_csv_matches_cell_loop(make_grid):
+def test_landscape_csv_matches_cell_loop(make_grid, block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_BYTES", block_bytes)
     grid = make_grid()
     out = io.StringIO()
     cli._write_landscape_csv(grid, out)
@@ -285,8 +313,20 @@ def _reference_pgm(grid: LandscapeGrid) -> bytes:
         ),
         lambda: LandscapeGrid(GridSpec(0, 0.5, 0, 0.5, 4, 4), np.full((4, 4), 0.3), kind="probability"),
         lambda: _fig1_grid(DEFAULT_ENT_GRID),
+        # 255 * k / 512 is exact, and k = 256 gives the tie 127.5, which rounds to 128
+        lambda: LandscapeGrid(
+            GridSpec(0, 1, 0, 1, 23, 23),
+            np.minimum(np.arange(23 * 23), 512).reshape(23, 23) / 512,
+            kind="probability",
+        ),
+        # each j + 0.5 scales to itself exactly: 0.5 rounds to 0, 1.5 and 2.5 to 2
+        lambda: LandscapeGrid(
+            GridSpec(0, 1, 0, 1, 17, 17),
+            np.concatenate(([0.0, 255.0], np.arange(255) + 0.5, np.zeros(32))).reshape(17, 17),
+            kind="feasibility",
+        ),
     ],
-    ids=["asymmetric", "constant", "fig1-201"],
+    ids=["asymmetric", "constant", "fig1-201", "ties-k-512", "ties-half"],
 )
 def test_landscape_pgm_matches_pixel_loop(make_grid):
     grid = make_grid()
@@ -808,6 +848,34 @@ def test_bad_search_arguments_exit_one(argv, tmp_path, monkeypatch, capsys, recw
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert len(recwarn) == 0
+
+
+NUMPY_OOM = "Unable to allocate 931. GiB for an array with shape (1000000, 1000000) and data type float64"
+
+
+@pytest.mark.parametrize(
+    "command, scan",
+    [(["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y], "scan_pflex_landscape"),
+     (["scan-fig2", *FIG2], "scan_thermo_feasibility")],
+    ids=["fig1", "fig2"],
+)
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "csv"])
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError(NUMPY_OOM), f"error: not enough memory: {NUMPY_OOM}\n"),
+     (MemoryError(), "error: not enough memory: allocation failed\n")],
+    ids=["numpy-message", "bare"],
+)
+def test_grid_too_large_for_memory_exits_one(command, scan, flags, exc, message, monkeypatch, capsys):
+    # a valid --grid 1000000 asks for terabytes; the scan is replaced so nothing is allocated
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(search, scan, fail)
+    assert run([*command, "--grid", "1000000", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 @pytest.mark.parametrize(
