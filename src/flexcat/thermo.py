@@ -17,12 +17,16 @@ extended past its ends. Every catalysed check, thermo_flexible_ok and the
 thermal scans in search, builds its step curves in _step_curves.
 
 The all-pairs kernel dominance_matrix makes the same comparisons without
-making them one cell at a time. It evaluates each dominating curve once per
-run of consecutive rows with equal abscissae. Within a run every height
-column that is monotone in the row index passes on a prefix or suffix of
-the run, so each (row, run) pair reduces to one index interval. Only rows
-whose value falls inside a non-monotone column's range (a constant height
-jittering by an ulp) are compared cell by cell.
+making them one cell at a time, and does its work per distinct abscissa row
+on both sides. The dominated rows are grouped by abscissa row (one stable
+sort, only when a row recurs after another), and each dominating curve is
+evaluated once per group, on segments counted once per distinct abscissa
+row of the dominating set. Column pairs that every row clears are skipped.
+Within a group every height column that is monotone in the row index
+passes on a prefix or suffix of the group, so each (row, group) pair
+reduces to one index interval. Only rows whose value falls inside a
+non-monotone column's range (a constant height jittering by an ulp) are
+compared cell by cell.
 """
 
 from __future__ import annotations
@@ -230,16 +234,37 @@ def lorenz_breakpoints_batch(rows: np.ndarray, gamma: np.ndarray) -> tuple[np.nd
     return x, y
 
 
+def _abscissa_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of x, and the index of each row's distinct row.
+
+    Equal rows are found among the first rows of x's runs of equal
+    consecutive rows by one lexicographic sort, so the cost follows the
+    number of runs. A row holding NaN is a group of its own.
+    """
+    starts = np.flatnonzero(np.r_[True, (x[1:] != x[:-1]).any(axis=1)])
+    heads = x[starts]
+    order = np.lexsort(heads.T)
+    new = np.r_[True, (heads[order[1:]] != heads[order[:-1]]).any(axis=1)]
+    group = np.empty(len(starts), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return heads[order[new]], np.repeat(group, np.diff(np.r_[starts, len(x)]))
+
+
 def _curve_values(xa: np.ndarray, ya: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Each curve A_i at the points pts[i] (one row per curve, or one for all).
+    """Each curve A_i at the points pts[i] (m, n), or at every row of pts[0] (1, runs, n).
 
     A point is interpolated on the last segment whose left end does not exceed
     it, so a zero-width segment is reached only as the final one (slope 0).
+    The segment depends on A_i only through xa[i], so for shared points it is
+    counted once per distinct abscissa row of A and indexed by each row's group.
     """
     m, n = xa.shape
-    col = (m,) + (1,) * (pts.ndim - 1)
-    seg = (xa[:, 1:-1].T.reshape((n - 2,) + col) <= pts).sum(axis=0)
-    seg += (np.arange(m) * n).reshape(col)  # flat indices into the (m, n) arrays
+    if pts.ndim == 2:
+        seg = (xa[:, 1:-1].T[:, :, None] <= pts).sum(axis=0)
+    else:
+        distinct, group = _abscissa_groups(xa)
+        seg = (distinct[:, 1:-1].T[:, :, None, None] <= pts[0]).sum(axis=0)[group]
+    seg += (np.arange(m) * n).reshape((m,) + (1,) * (pts.ndim - 1))  # flat indices into (m, n)
     dx = xa[:, 1:] - xa[:, :-1]
     slopes = np.zeros_like(xa)
     np.divide(ya[:, 1:] - ya[:, :-1], dx, out=slopes[:, :-1], where=dx > 0)
@@ -259,10 +284,17 @@ def dominance_matrix(
 
     - Runs. A_i's values at B_j's breakpoints depend on B_j only through
       xb[j], and scan rows come in runs of consecutive equal abscissa rows
-      (the ratio order changes only where two ratios cross). A is evaluated
-      once per run. A row that recurs later starts another run, which stays
-      exact; the cost grows with the number of runs, so rows not grouped by
-      abscissa (random states in random order) take longer than scan rows.
+      (the ratio order changes only where two ratios cross). When an
+      abscissa row recurs after another, the rows are grouped by one stable
+      sort and the output columns are put back in order at the end, so each
+      distinct abscissa row makes one run whatever the row order. A is
+      evaluated once per run, on segments counted once per distinct
+      abscissa row of A (_curve_values). Rows in random order still cost
+      more than scan rows: within a run their heights are not monotone, so
+      more of them are band rows.
+    - Cleared columns. A (run, column) pair where no row's value falls below
+      the column's highest height in the run passes for every cell and is
+      skipped; a NaN on either side never skips.
     - Interval bounds. Within a run, where height column k never falls,
       row i's comparison holds on a prefix of the run, whose length
       searchsorted finds; where it never rises, on a suffix. Each (row, run)
@@ -276,7 +308,12 @@ def dominance_matrix(
     A NaN value empties its row's interval, as every comparison with it fails.
     """
     m, size = xa.shape[0], xb.shape[0]
-    starts = np.flatnonzero(np.r_[True, (xb[1:] != xb[:-1]).any(axis=1)])
+    distinct, group = _abscissa_groups(xb)
+    order = None
+    if (group[1:] != group[:-1]).sum() >= len(distinct):  # an abscissa row recurs
+        order = group.argsort(kind="stable")
+        xb, yb, group = xb[order], yb[order], group[order]
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
     ends = np.r_[starts[1:], size]
     lens = ends - starts
     vals = _curve_values(xa, ya, xb[starts][None])  # (m, runs, n)
@@ -287,27 +324,37 @@ def dominance_matrix(
     np.cumsum(~(floor[1:] >= floor[:-1]), axis=0, out=moves[0, 1:])
     np.cumsum(~(floor[1:] <= floor[:-1]), axis=0, out=moves[1, 1:])
     never_falls, never_rises = (moves[:, ends - 1] == moves[:, starts]).tolist()  # (runs, n) each
-    lo = np.zeros((m, len(starts)), dtype=np.intp)
-    hi = np.where(np.isnan(vals).any(axis=2), 0, lens)
+    cleared = vals.min(axis=0) >= np.maximum.reduceat(floor, starts, axis=0)
+    lo = np.zeros((len(starts), m), dtype=np.intp)  # [lo, hi) per (run, row)
+    hi = np.repeat(lens[:, None], m, axis=1)
+    # a NaN empties its (run, row) interval; locating NaNs by flat index is about
+    # 7x faster than isnan(vals).any(axis=2), a reduction over a short axis
+    nan_rows, nan_runs = np.divmod(np.flatnonzero(np.isnan(vals)) // vals.shape[2], len(starts))
+    hi[nan_runs, nan_rows] = 0
     band = []  # (run, column, rows) compared cell by cell
-    for g, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-        for k in range(xb.shape[1]):
-            v, col = vals[:, g, k], floor[a:b, k]
-            if never_falls[g][k]:
-                np.minimum(hi[:, g], col.searchsorted(v, "right"), out=hi[:, g])
-            elif never_rises[g][k]:
-                np.maximum(lo[:, g], b - a - col[::-1].searchsorted(v, "right"), out=lo[:, g])
-            else:
-                below, above = v < col.min(), v >= col.max()
-                hi[below, g] = 0
-                band.append((g, k, np.flatnonzero(~(below | above))))
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    for g, k in np.argwhere(~cleared).tolist():
+        a, b = bounds[g]
+        v, col = vals[:, g, k], floor[a:b, k]
+        if never_falls[g][k]:
+            np.minimum(hi[g], col.searchsorted(v, "right"), out=hi[g])
+        elif never_rises[g][k]:
+            np.maximum(lo[g], b - a - col[::-1].searchsorted(v, "right"), out=lo[g])
+        else:
+            below, above = v < col.min(), v >= col.max()
+            hi[g, below] = 0
+            band.append((g, k, np.flatnonzero(~(below | above))))
     np.maximum(hi, lo, out=hi)
-    pieces = np.stack([lo, hi - lo, lens - hi], axis=-1)
+    pieces = np.stack([lo, hi - lo, lens[:, None] - hi], axis=-1).transpose(1, 0, 2)
     out = np.repeat(np.tile([False, True, False], lo.size), pieces.ravel()).reshape(m, size)
     for g, k, rows in band:
-        a, b = starts[g], ends[g]
+        a, b = bounds[g]
         out[rows, a:b] &= vals[rows, g, k, None] >= floor[a:b, k]
-    return out
+    if order is None:
+        return out
+    place = np.empty_like(order)  # place[j]: the sorted column of B_j
+    place[order] = np.arange(size)
+    return out[:, place]
 
 
 def dominance_diagonal(

@@ -381,14 +381,34 @@ def test_landscape_outputs_match_pinned_hashes(argv, sha, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 
 
+def _export_digests(tmp_path, argv) -> tuple[str, str]:
+    """sha256 of the CSV and the PGM file that argv writes."""
+    csv, pgm = tmp_path / "grid.csv", tmp_path / "grid.pgm"
+    assert run([*argv, "--out", str(csv), "--pgm", str(pgm)]) == 0
+    return tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (csv, pgm))
+
+
 def test_fig2_export_matches_pinned_hashes(tmp_path):
-    csv, pgm = tmp_path / "fig2.csv", tmp_path / "fig2.pgm"
-    assert run(["scan-fig2", *FIG2, "--out", str(csv), "--pgm", str(pgm)]) == 0
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-        "033a1f1928a84dd1f005e99c97488df2346ca6b01bb672c2a52d122aeae1566f"
+    assert _export_digests(tmp_path, ["scan-fig2", *FIG2]) == (
+        "033a1f1928a84dd1f005e99c97488df2346ca6b01bb672c2a52d122aeae1566f",
+        "106f6743aed49208b39902a683b857b38ad40271b13e63d633a7f3a6d409070e",
     )
-    assert hashlib.sha256(pgm.read_bytes()).hexdigest() == (
-        "106f6743aed49208b39902a683b857b38ad40271b13e63d633a7f3a6d409070e"
+
+
+def test_fig2_1001_export_and_summary_match_pinned_values(tmp_path, capsys):
+    # the 1001-point CSV is written in many blocks of rows
+    assert _export_digests(tmp_path, ["scan-fig2", *FIG2, "--grid", "1001"]) == (
+        "b5fe66fc870c51a51ffd787638b78a54c20548f264ddeeb78ac4f4428b23e8ec",
+        "9cbb2007ea553aec950afaf819190c7fac462ba1c61d99fafd6344b97bc5d1dd",
+    )
+    assert run(["scan-fig2", *FIG2, "--grid", "1001", "--json"]) == 0
+    assert capsys.readouterr().out == '{"feasible_cells": 354, "steps": 1001}\n'
+
+
+def test_fig1_export_matches_pinned_hashes(tmp_path):
+    assert _export_digests(tmp_path, ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y]) == (
+        "a5de9af9c704d92895de3bc67811ebf68d9266ba78a21dcd94a33a77df6160b8",
+        "04d8363b5770a346efe10585c0914651721d311ef39b6ba1b0eb4046430f8830",
     )
 
 

@@ -32,6 +32,7 @@ from flexcat.errors import FlexcatError
 from flexcat.search import GridSpec, scan_thermo_feasibility
 from flexcat.thermo import (
     CURVE_TOL,
+    _abscissa_groups,
     _curve_values,
     _tensor_rows,
     dominance_matrix,
@@ -431,11 +432,27 @@ def test_dominance_matrix_equals_dense_reference(d):
     assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
 
 
+def _ref_curve_values(xa, ya, pts):
+    """_curve_values as it was before segments were counted per distinct abscissa row:
+    each curve A_i at the points pts[i] (one row per curve, or one for all), with every
+    row's segments counted on an (n - 2, m, ...) array."""
+    m, n = xa.shape
+    col = (m,) + (1,) * (pts.ndim - 1)
+    seg = (xa[:, 1:-1].T.reshape((n - 2,) + col) <= pts).sum(axis=0)
+    seg += (np.arange(m) * n).reshape(col)  # flat indices into the (m, n) arrays
+    dx = xa[:, 1:] - xa[:, :-1]
+    slopes = np.zeros_like(xa)
+    np.divide(ya[:, 1:] - ya[:, :-1], dx, out=slopes[:, :-1], where=dx > 0)
+    vals = pts - xa.take(seg)
+    vals *= slopes.take(seg)
+    return np.add(vals, ya.take(seg), out=vals)
+
+
 def _grouped_dominance(xa, ya, xb, yb):
     """The kernel before runs and interval bounds: one group per distinct abscissa row,
     every member compared column by column."""
     ux, inverse, counts = np.unique(xb, axis=0, return_inverse=True, return_counts=True)
-    vals = _curve_values(xa, ya, ux[None])
+    vals = _ref_curve_values(xa, ya, ux[None])
     floor = yb - CURVE_TOL
     out = np.empty((xa.shape[0], xb.shape[0]), dtype=bool)
     members = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
@@ -495,7 +512,7 @@ def test_dominance_matrix_band_rows_match_grouped_reference():
     (xb, yb), _ = _random_scan_pair(rng, 4, AXIS, [0.0, 0.0])
     xa, ya = xb, yb - CURVE_TOL
     starts = np.flatnonzero(np.r_[True, (xb[1:] != xb[:-1]).any(axis=1)])
-    vals = _curve_values(xa, ya, xb[starts][None])
+    vals = _ref_curve_values(xa, ya, xb[starts][None])
     floor = yb - CURVE_TOL
     band_cells = 0
     for g, (a, b) in enumerate(zip(starts, np.r_[starts[1:], len(xb)])):
@@ -519,6 +536,80 @@ def test_dominance_matrix_nan_values_fail_like_grouped_reference():
     m = dominance_matrix(xa, ya, xb, yb)
     assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
     assert not m[3].any() and not m[:, ::5].any() and m.any()
+
+
+def _shuffled(curves, perm):
+    return tuple(c[perm] for c in curves)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_dominance_matrix_unordered_rows_match_grouped_reference(d):
+    """Scan rows in random order recur many times; they are grouped, then put back."""
+    rng = np.random.default_rng(1100 + d)
+    a, b = _random_scan_pair(rng, d, np.linspace(0.0, 1.0, 1001))
+    pa, pb = rng.permutation(1001), rng.permutation(1001)
+    a_shuffled, b_shuffled = _shuffled(a, pa), _shuffled(b, pb)
+    xb = b_shuffled[0]
+    assert 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > 10 * len(np.unique(xb, axis=0))
+    _assert_matches_grouped(a_shuffled, b_shuffled)
+    _assert_matches_grouped(a, b_shuffled)
+    ordered = dominance_matrix(*a, *b)
+    assert np.array_equal(dominance_matrix(*a_shuffled, *b_shuffled), ordered[pa][:, pb])
+
+
+def test_abscissa_groups_rebuild_rows():
+    nan = math.nan
+    x = np.array(
+        [[0, 0.5, 1], [0, 0.5, 1], [0, 0.2, 1], [0, 0.5, 1], [0, nan, 1], [0, nan, 1], [0, 0.2, 1]]
+    )
+    distinct, group = _abscissa_groups(x)
+    assert np.array_equal(distinct[group], x, equal_nan=True)
+    assert group[0] == group[1] == group[3] != group[2] == group[6]
+    assert len(distinct) == 4  # a row holding NaN equals no other row
+
+
+def _property_scan_pair(rng):
+    """Scan curves of a random system: d = 3..6, a degenerate or gapped catalyst,
+    2 to 1001 rows, sometimes a Gibbs weight of e^-37 to e^-60, NaN heights or
+    rows in random order."""
+    d = int(rng.integers(3, 7))
+    cs = np.linspace(0.0, 1.0, int(rng.choice([2, 31, 401, 1001])))
+    beta = float(rng.uniform(0.3, 2.0))
+    levels_s = rng.uniform(0.0, 3.0, d)
+    states = [rng.exponential(1.0, d) for _ in range(2)]
+    if rng.random() < 0.3:  # too small to change a float running sum: zero-width segments
+        beta, tiny = 1.0, rng.integers(d)
+        levels_s[tiny] = rng.uniform(37.0, 60.0)
+        if rng.random() < 0.5:  # an empty level sorts last, where its segment has zero width
+            states[0][tiny] = 0.0
+    levels_c = [0.0, 0.0] if rng.random() < 0.5 else [0.0, float(rng.uniform(0.2, 2.0))]
+    gamma = gibbs_tensor(gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)).as_array()
+    curves = [_scan_curves(v / v.sum(), cs, gamma) for v in states]
+    if rng.random() < 0.3:
+        curves = [_shuffled(c, rng.permutation(len(cs))) for c in curves]
+    if rng.random() < 0.2:
+        for _, y in curves:
+            y[rng.random(y.shape) < 0.02] = np.nan
+    return curves
+
+
+def test_curve_values_match_frozen_reference():
+    rng = np.random.default_rng(16)
+    seen = set()
+    for _ in range(200):
+        (xa, ya), (xb, yb) = _property_scan_pair(rng)
+        seen |= {
+            ("zero width", bool((np.diff(xa[:, :-1], axis=1) == 0).any())),
+            ("NaN", bool(np.isnan(ya).any() and np.isnan(yb).any())),
+            ("recurring", 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > len(np.unique(xb, axis=0))),
+        }
+        for pts in (np.unique(xb, axis=0)[None], xb):  # shared rows, and one row per curve
+            got, want = _curve_values(xa, ya, pts), _ref_curve_values(xa, ya, pts)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        if len(xb) <= 401:  # the 1001-row scans above already cover the matrix
+            assert np.array_equal(dominance_matrix(xa, ya, xb, yb), _grouped_dominance(xa, ya, xb, yb))
+    assert {case for case, hit in seen if hit} == {"zero width", "NaN", "recurring"}
 
 
 def _tied_state(rng, g: np.ndarray) -> tuple[float, ...]:
