@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
@@ -65,6 +66,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.lo1 < self.hi1:
             raise BadRange("axis bounds must satisfy lo < hi")
+        for name in ("steps1", "steps2"):
+            try:  # numpy integers pass; 2.5, 3.0 and "3" would fail later inside numpy
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise BadRange("grid step counts must be integers") from None
         if self.steps1 < 2:
             raise BadRange("each axis needs at least 2 grid points")
         if self.steps1 > math.isqrt(sys.maxsize):  # else numpy cannot size the square grid
@@ -78,7 +84,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class LandscapeGrid:
-    """Row-major scan result, symmetric from a scan: values[i, j] is cell (axis1[i], axis1[j])."""
+    """Row-major scan result, symmetric from a scan: values[i, j] is cell (axis1[i], axis1[j]).
+
+    values is read-only: float64 in [0, 1] for kind "probability", bool for
+    kind "feasibility" (1 byte a cell). A feasibility grid is taken as given
+    when it is bool; numbers must all be exactly 0 or 1.
+    """
 
     spec: GridSpec
     values: np.ndarray
@@ -87,14 +98,21 @@ class LandscapeGrid:
     def __post_init__(self) -> None:
         if self.kind not in ("probability", "feasibility"):
             raise BadRange(f"unknown landscape kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.asarray(self.values)
+        if self.kind == "probability" or vals.dtype != bool:  # a scan's bool grid needs no pass
+            vals = np.asarray(vals, dtype=float)
         if vals.shape != (self.spec.steps1, self.spec.steps2):
             raise DimensionMismatch(
                 f"values shape {vals.shape} != grid {(self.spec.steps1, self.spec.steps2)}"
             )
         # a NaN fails every comparison, so it is rejected too
-        if self.kind == "probability" and not -CMP_TOL <= vals.min() <= vals.max() <= 1 + CMP_TOL:
-            raise BadRange("probability values must lie in [0, 1]")
+        if self.kind == "probability":
+            if not -CMP_TOL <= vals.min() <= vals.max() <= 1 + CMP_TOL:
+                raise BadRange("probability values must lie in [0, 1]")
+        elif vals.dtype != bool:
+            if not ((vals == 0.0) | (vals == 1.0)).all():
+                raise BadRange("feasibility values must be 0 or 1")
+            vals = vals.astype(bool)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -344,11 +362,14 @@ def scan_thermo_feasibility(
     beta: float,
     spec: GridSpec = DEFAULT_THERMO_GRID,
 ) -> LandscapeGrid:
-    """Feasibility (1.0/0.0) of the thermal 2-cycle [(c1, 1-c1), (c2, 1-c2)]."""
+    """Feasibility of the thermal 2-cycle [(c1, 1-c1), (c2, 1-c2)] as a bool grid.
+
+    values[i, j] is True iff both steps of the cycle pass thermo-majorization.
+    """
     _check_weight_range(spec, 1.0, "makes a negative population")
     step = dominance_matrix(*_scan_curves(p, q, levels_s, levels_c, beta, spec.axis1()))
     step &= step.T  # numpy buffers the overlapping operand; no second bool grid stays alive
-    return LandscapeGrid(spec, step.astype(float), "feasibility")
+    return LandscapeGrid(spec, step, "feasibility")
 
 
 def scan_thermo_standard(

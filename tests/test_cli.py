@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -231,6 +232,29 @@ def _random_grid(steps: int) -> LandscapeGrid:
     return LandscapeGrid(spec, np.random.default_rng(steps).random((steps, steps)), kind="probability")
 
 
+def _float_cells(spec: GridSpec, values) -> types.SimpleNamespace:
+    """A grid-like stand-in with arbitrary float cells (NaN, -0.0, wide fields), which
+    no LandscapeGrid kind accepts; the writers read only spec and values."""
+    return types.SimpleNamespace(spec=spec, values=np.array(values, dtype=float))
+
+
+def _degenerate_fig2_grid(steps: int) -> LandscapeGrid:
+    """An all-False feasibility grid: a catalyst with equal levels never helps."""
+    return scan_thermo_feasibility(
+        cli.THERMO_P, cli.THERMO_Q, cli.THERMO_LEVELS_S, (0, 0),
+        cli.THERMO_BETA, GridSpec(0, 1, 0, 1, steps, steps),
+    )
+
+
+def _bool_grid(steps: int, fill: bool | None) -> LandscapeGrid:
+    """A feasibility grid of one value, or random and not symmetric when fill is None."""
+    if fill is None:
+        cells = np.random.default_rng(steps).random((steps, steps)) < 0.3
+    else:
+        cells = np.full((steps, steps), fill)
+    return LandscapeGrid(GridSpec(0, 1, 0, 1, steps, steps), cells, kind="feasibility")
+
+
 # Fields of a grid on [0, 1] with values in [0, 1) are 9 bytes wide ("0.500000," and
 # "0.500000\n"), so a row of n cells fills 27 * n bytes of the block budget.
 @pytest.mark.parametrize(
@@ -244,26 +268,22 @@ def _random_grid(steps: int) -> LandscapeGrid:
         (lambda: _random_grid(7), 27 * 7 - 1),  # a row wider than the budget: one row a block
         # not symmetric, so a writer that transposes the grid fails
         (
-            lambda: LandscapeGrid(
+            lambda: _float_cells(
                 GridSpec(-0.5, 0.25, -0.5, 0.25, 4, 4),
-                np.array(
-                    [
-                        [-0.0, 0.0, -1e-13, 5e-7],
-                        [4.999999e-7, 1.0, math.nan, -0.0],
-                        [0.0, 1.0, 5e-7, -1e-13],
-                        [1.0, -0.0, 0.0, 4.999999e-7],
-                    ]
-                ),
-                kind="feasibility",
+                [
+                    [-0.0, 0.0, -1e-13, 5e-7],
+                    [4.999999e-7, 1.0, math.nan, -0.0],
+                    [0.0, 1.0, 5e-7, -1e-13],
+                    [1.0, -0.0, 0.0, 4.999999e-7],
+                ],
             ),
             None,
         ),
         # value fields wider than the axis fields
         (
-            lambda: LandscapeGrid(
+            lambda: _float_cells(
                 GridSpec(0, 0.5, 0, 0.5, 3, 3),
-                np.array([[12.5, 0.25, -123.25], [1.0, 12.5, 0.0], [-0.0, 1e6, 0.5]]),
-                kind="feasibility",
+                [[12.5, 0.25, -123.25], [1.0, 12.5, 0.0], [-0.0, 1e6, 0.5]],
             ),
             None,
         ),
@@ -279,9 +299,14 @@ def _random_grid(steps: int) -> LandscapeGrid:
             ),
             None,
         ),
+        (lambda: _degenerate_fig2_grid(41), None),
+        (lambda: _bool_grid(9, True), None),
+        # not symmetric, in blocks of 2, 2 and 1 rows of 1-byte cells
+        (lambda: _bool_grid(5, None), 2 * 27 * 5),
     ],
     ids=["fig1-201", "fig1-range", "fig2-401", "fig2-1001", "partial-last-block", "row-over-budget",
-         "signed-zeros", "wide-values", "all-distinct", "axis-2"],
+         "signed-zeros", "wide-values", "all-distinct", "axis-2", "bool-all-false", "bool-all-true",
+         "bool-asymmetric"],
 )
 def test_landscape_csv_matches_cell_loop(make_grid, block_bytes, monkeypatch):
     if block_bytes is not None:
@@ -308,9 +333,7 @@ def _reference_pgm(grid: LandscapeGrid) -> bytes:
     "make_grid",
     [
         # not symmetric, so a writer that loses the transpose fails
-        lambda: LandscapeGrid(
-            GridSpec(0, 0.5, 0, 0.5, 5, 5), np.arange(25.0).reshape(5, 5) ** 1.5, kind="feasibility"
-        ),
+        lambda: _float_cells(GridSpec(0, 0.5, 0, 0.5, 5, 5), np.arange(25.0).reshape(5, 5) ** 1.5),
         lambda: LandscapeGrid(GridSpec(0, 0.5, 0, 0.5, 4, 4), np.full((4, 4), 0.3), kind="probability"),
         lambda: _fig1_grid(DEFAULT_ENT_GRID),
         # 255 * k / 512 is exact, and k = 256 gives the tie 127.5, which rounds to 128
@@ -320,13 +343,17 @@ def _reference_pgm(grid: LandscapeGrid) -> bytes:
             kind="probability",
         ),
         # each j + 0.5 scales to itself exactly: 0.5 rounds to 0, 1.5 and 2.5 to 2
-        lambda: LandscapeGrid(
+        lambda: _float_cells(
             GridSpec(0, 1, 0, 1, 17, 17),
             np.concatenate(([0.0, 255.0], np.arange(255) + 0.5, np.zeros(32))).reshape(17, 17),
-            kind="feasibility",
         ),
+        # one-valued bool grids take the all-equal path, which must not scale a bool array
+        lambda: _degenerate_fig2_grid(41),
+        lambda: _bool_grid(9, True),
+        lambda: _bool_grid(6, None),
     ],
-    ids=["asymmetric", "constant", "fig1-201", "ties-k-512", "ties-half"],
+    ids=["asymmetric", "constant", "fig1-201", "ties-k-512", "ties-half", "bool-all-false",
+         "bool-all-true", "bool-asymmetric"],
 )
 def test_landscape_pgm_matches_pixel_loop(make_grid):
     grid = make_grid()
@@ -403,6 +430,12 @@ def test_fig2_1001_export_and_summary_match_pinned_values(tmp_path, capsys):
     )
     assert run(["scan-fig2", *FIG2, "--grid", "1001", "--json"]) == 0
     assert capsys.readouterr().out == '{"feasible_cells": 354, "steps": 1001}\n'
+
+
+def test_scan_fig1_unequal_dimensions_summary(capsys):
+    # scans zero-pad unequal dimensions as per_step_probability does, which gives 0 here
+    assert run(["scan-fig1", "--x", "0.5,0.3,0.2", "--y", "0.4,0.3,0.2,0.1", "--grid", "3", "--json"]) == 0
+    assert capsys.readouterr().out == '{"max": 0.0, "steps": 3}\n'
 
 
 def test_fig1_export_matches_pinned_hashes(tmp_path):

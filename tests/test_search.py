@@ -81,6 +81,24 @@ def test_grid_spec_validation():
     assert spec.axis1()[-1] == 0.5
 
 
+@pytest.mark.parametrize("steps", [2.5, 3.0, "3", None])
+def test_grid_spec_rejects_non_integer_step_counts(steps):
+    with pytest.raises(BadRange, match="must be integers"):
+        GridSpec(0.0, 1.0, 0.0, 1.0, steps, steps)
+
+
+def test_grid_spec_accepts_numpy_integer_step_counts():
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, np.int64(3), np.int64(3))
+    assert spec.axis1().tolist() == [0.0, 0.5, 1.0]
+    assert type(spec.steps1) is int and spec == GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
+
+
+def test_thermo_standard_scan_rejects_float_num():
+    with pytest.raises(BadRange, match="must be integers"):
+        scan_thermo_standard(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, 3.0)
+    assert scan_thermo_standard(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, np.int64(3)).shape == (3,)
+
+
 def test_landscape_grid_validation():
     spec = GridSpec(0.0, 0.5, 0.0, 0.5, 3, 3)
     with pytest.raises(BadRange):
@@ -94,6 +112,36 @@ def test_landscape_grid_validation():
     grid = LandscapeGrid(spec, np.zeros((3, 3)), "feasibility")
     with pytest.raises(ValueError):
         grid.values[0, 0] = 1.0  # values are read-only
+    grid = LandscapeGrid(spec, np.full((3, 3), 0.5), "probability")
+    assert grid.values.dtype == np.float64 and not grid.values.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [0.7, math.nan, 2.0, -1.0])
+def test_feasibility_grid_rejects_values_other_than_zero_and_one(bad):
+    cells = np.eye(3)
+    cells[2, 0] = bad
+    with pytest.raises(BadRange, match="must be 0 or 1"):
+        LandscapeGrid(GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3), cells, "feasibility")
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.eye(3),
+        np.where(np.eye(3) == 1.0, 1.0, -0.0),
+        np.eye(3, dtype=int),
+        np.eye(3, dtype=bool),
+        np.eye(3).tolist(),
+    ],
+    ids=["float", "signed-zero", "int", "bool", "list"],
+)
+def test_feasibility_grid_stores_zero_one_cells_as_bool(cells):
+    grid = LandscapeGrid(GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3), cells, "feasibility")
+    assert grid.values.dtype == bool
+    assert np.array_equal(grid.values, np.eye(3, dtype=bool))
+    assert not grid.values.flags.writeable
+    with pytest.raises(ValueError):
+        grid.values[0, 1] = True
 
 
 def test_per_step_trivial_catalyst_equals_base_probability():
@@ -294,6 +342,18 @@ def test_each_scan_builds_one_step_matrix(monkeypatch):
     assert (ratio_calls, dominance_calls) == ([1], [1])
 
 
+def test_thermal_scan_returns_its_step_matrix(monkeypatch):
+    """The symmetric AND is done in place, and the bool grid is returned without a copy."""
+    made = []
+    kernel = search.dominance_matrix
+    monkeypatch.setattr(search, "dominance_matrix", lambda *args: made.append(kernel(*args)) or made[0])
+    grid = scan_thermo_feasibility(
+        THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
+    )
+    assert grid.values is made[0]
+    assert np.array_equal(grid.values, grid.values.T)
+
+
 THERMO_CYCLE = Cycle((make_prob_vec(THERMO_C1), make_prob_vec(THERMO_C2)))
 THERMAL_CHECKS = {
     "flexible_ok": lambda: thermo_flexible_ok(
@@ -369,8 +429,9 @@ def _random_thermal_system(seed: int):
     return p, q, levels_s, levels_c, float(rng.uniform(0.3, 2.0))
 
 
-# sha256 of grid.values.tobytes(), recorded while each scan still computed its
-# second step direction on a separate weight axis
+# sha256 of grid.values.astype(np.float64).tobytes(), recorded while each scan
+# still computed its second step direction on a separate weight axis and
+# returned its 0/1 cells as float64
 PINNED_THERMAL_SCANS = [
     # (seed, feasible cells of 1001², sha256)
     (1, 1891, "7b669b8ec24298af6d2a61e09b4a554c129e640bae7d9e76a822045c8fbf7f51"),
@@ -385,8 +446,10 @@ PINNED_THERMAL_SCANS = [
 def test_thermal_scans_match_pinned_hashes(seed, cells, sha):
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 1001, 1001)
     grid = scan_thermo_feasibility(*_random_thermal_system(seed), spec)
+    assert grid.values.dtype == bool
+    assert not grid.values.flags.writeable
     assert int(grid.values.sum()) == cells
-    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == sha
+    assert hashlib.sha256(grid.values.astype(np.float64).tobytes()).hexdigest() == sha
 
 
 def test_probability_scans_and_best_flexible_match_pinned_hash():
