@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -312,9 +313,9 @@ def test_landscape_csv_matches_cell_loop(make_grid, block_bytes, monkeypatch):
     if block_bytes is not None:
         monkeypatch.setattr(cli, "_CSV_BLOCK_BYTES", block_bytes)
     grid = make_grid()
-    out = io.StringIO()
+    out = io.BytesIO()
     cli._write_landscape_csv(grid, out)
-    assert out.getvalue() == _reference_csv(grid)
+    assert out.getvalue() == _reference_csv(grid).encode("ascii")
 
 
 def _reference_pgm(grid: LandscapeGrid) -> bytes:
@@ -415,11 +416,50 @@ def _export_digests(tmp_path, argv) -> tuple[str, str]:
     return tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (csv, pgm))
 
 
+FIG2_401_DIGESTS = (
+    "033a1f1928a84dd1f005e99c97488df2346ca6b01bb672c2a52d122aeae1566f",
+    "106f6743aed49208b39902a683b857b38ad40271b13e63d633a7f3a6d409070e",
+)
+
+
 def test_fig2_export_matches_pinned_hashes(tmp_path):
-    assert _export_digests(tmp_path, ["scan-fig2", *FIG2]) == (
-        "033a1f1928a84dd1f005e99c97488df2346ca6b01bb672c2a52d122aeae1566f",
-        "106f6743aed49208b39902a683b857b38ad40271b13e63d633a7f3a6d409070e",
-    )
+    assert _export_digests(tmp_path, ["scan-fig2", *FIG2]) == FIG2_401_DIGESTS
+
+
+def test_export_writes_over_existing_files_in_place(tmp_path):
+    """A shorter export over a longer one, then a longer one over that, gives the bytes
+    of a fresh export each time, in the same two files (inodes)."""
+    files = [tmp_path / "grid.csv", tmp_path / "grid.pgm"]
+    small = ["scan-fig2", *FIG2, "--grid", "11"]
+    (tmp_path / "fresh").mkdir()
+    fresh = _export_digests(tmp_path / "fresh", small)
+    _export_digests(tmp_path, ["scan-fig2", *FIG2, "--grid", "1001"])
+    inodes = [f.stat().st_ino for f in files]
+    assert _export_digests(tmp_path, small) == fresh
+    assert _export_digests(tmp_path, ["scan-fig2", *FIG2]) == FIG2_401_DIGESTS
+    assert [f.stat().st_ino for f in files] == inodes
+
+
+@pytest.mark.parametrize("kind", ["symlink", "hard-link", "mode-600"])
+def test_export_keeps_links_and_mode(kind, tmp_path, capsys):
+    """The export writes into the file the path leads to: links survive, the mode stays."""
+    argv = ["scan-fig2", *FIG2, "--grid", "11"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out.encode("ascii")
+    target = tmp_path / "fig2.csv"
+    target.write_bytes(b"an earlier, longer export\n" * 1000)
+    out = target
+    if kind == "mode-600":
+        target.chmod(0o600)
+    else:
+        out = tmp_path / "alias.csv"
+        (os.symlink if kind == "symlink" else os.link)(target, out)
+    before = target.stat()
+    assert run([*argv, "--out", str(out)]) == 0
+    after = target.stat()
+    assert target.read_bytes() == expected
+    assert out.is_symlink() == (kind == "symlink") and os.path.samefile(out, target)
+    assert (after.st_ino, after.st_nlink, after.st_mode) == (before.st_ino, before.st_nlink, before.st_mode)
 
 
 def test_fig2_1001_export_and_summary_match_pinned_values(tmp_path, capsys):
@@ -622,6 +662,18 @@ def test_landscape_csv_file_equals_stdout(tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
 
+def test_landscape_csv_to_text_only_stdout_equals_file(tmp_path, monkeypatch):
+    """A stdout with no binary buffer, such as io.StringIO, gets the same CSV as text."""
+    monkeypatch.setattr(cli, "_CSV_BLOCK_BYTES", 3 * 27 * 31)  # several blocks
+    argv = ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "31", "--range", "0.1:0.4"]
+    out = tmp_path / "fig1.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(argv) == 0
+    assert stdout.getvalue().encode("ascii") == out.read_bytes()
+
+
 def test_unwritable_out_exits_one(tmp_path, capsys):
     bad = tmp_path / "missing" / "fig2.csv"
     assert run(["scan-fig2", *FIG2, "--grid", "11", "--out", str(bad)]) == 1
@@ -694,6 +746,60 @@ def test_pgm_naming_stdout_file_exits_one(alias, tmp_path, capsys, monkeypatch):
     assert target.read_bytes() == b""
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("out-and-pgm", "error: --out and --pgm name the same file\n"),
+        ("pgm-and-appending-stdout", "error: --pgm and stdout name the same file\n"),
+        ("unopenable-pgm", "error: cannot write {}: No such file or directory\n"),
+    ],
+    ids=["out-and-pgm", "pgm-and-appending-stdout", "unopenable-pgm"],
+)
+def test_rejected_export_keeps_existing_file(case, message, tmp_path, capsys, monkeypatch):
+    """A run rejected before writing leaves an existing file byte for byte as it was."""
+    target = tmp_path / "fig2.out"
+    old = b"c1,c2,value\nan earlier export\n"
+    target.write_bytes(old)
+    bad = tmp_path / "missing" / "fig2.pgm"
+    argv = ["scan-fig2", *FIG2, "--grid", "11"]
+    if case == "out-and-pgm":
+        argv += ["--out", str(target), "--pgm", str(target)]
+    elif case == "unopenable-pgm":
+        argv += ["--out", str(target), "--pgm", str(bad)]
+    else:
+        argv += ["--pgm", str(target)]
+    with open(target, "a", encoding="utf-8") as stdout, monkeypatch.context() as patch:
+        if case == "pgm-and-appending-stdout":  # `--pgm f >> f`
+            patch.setattr(sys, "stdout", stdout)
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", message.format(bad))
+    assert target.read_bytes() == old
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (OSError(errno.EIO, "Input/output error"), "error: cannot write {}: Input/output error\n"),
+        (MemoryError(), "error: not enough memory: allocation failed\n"),
+    ],
+    ids=["os-error", "memory-error"],
+)
+def test_failed_writer_keeps_no_earlier_tail(exc, message, tmp_path, capsys, monkeypatch):
+    """A writer that raises leaves its file cut to the bytes it wrote."""
+    out = tmp_path / "fig2.csv"
+    out.write_bytes(b"an earlier, longer export\n" * 1000)
+
+    def failing_writer(grid, fh):
+        fh.write(b"c1,c2,value\n")
+        raise exc
+
+    monkeypatch.setattr(cli, "_write_landscape_csv", failing_writer)
+    assert run(["scan-fig2", *FIG2, "--grid", "11", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message.format(out)
+    assert out.read_bytes() == b"c1,c2,value\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("flag", ["--out", "--pgm"])
 def test_full_device_exits_one(tmp_path, capsys, flag):
@@ -718,6 +824,17 @@ def test_closed_stdout_pipe_exits_quietly():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+def test_stdout_pipe_csv_matches_pinned_hash():
+    """The CSV through a real pipe, which in-process capture does not exercise."""
+    argv, sha = next(row[1:] for row in PINNED_OUTPUTS if row[0] == "fig1-401-range")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "flexcat.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == sha
 
 
 def test_best_catalyst_standard_output(capsys):
