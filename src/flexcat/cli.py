@@ -20,6 +20,7 @@ pure Python.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -282,9 +283,10 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
     before any output. An OSError on a file becomes a CliError naming that file.
     Files are opened without truncation, which cost about 5 ms on a 4.3 MB
     CSV, and written in place, so a run rejected before writing leaves an
-    existing file as it was. When a writer ends, or raises, its regular file
-    is cut to the bytes that reached it, so no tail of an earlier, longer
-    export is kept; the file keeps its inode, links and mode.
+    existing file as it was. Once the writers end, or one raises, each
+    regular file is cut to the bytes that reached it (none if its writer
+    never started), so no tail of an earlier, longer export is kept; the
+    file keeps its inode, links and mode.
     Two paths that open one regular file (the same name, `sub/../f`, a
     symlink or a hard link) are rejected: the second writer would write over
     the first. So is a --pgm that opens the regular file stdout is redirected
@@ -297,31 +299,30 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
         outputs.append((args.out, _write_landscape_csv))
     if args.pgm:
         outputs.append((args.pgm, _write_landscape_pgm))
-    handles = []
     path = None  # the file being opened or written, for the error message
     try:
-        for path, _ in outputs:
-            handles.append(open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb"))
-        # only a regular file has an offset that a second writer would write over
-        stats = [os.fstat(fh.fileno()) for fh in handles]
-        files = [st for st in stats if stat.S_ISREG(st.st_mode)]
-        if len(files) == 2 and os.path.samestat(*files):
-            raise CliError("--out and --pgm name the same file")
-        if files and not args.out and _same_file_as_stdout(files[0]):
-            raise CliError("--pgm and stdout name the same file")
-        for (path, writer), fh, st in zip(outputs, handles, stats):
-            with fh:
-                try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path, _ in outputs:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                handles.append(stack.enter_context(open(fd, "wb")))
+            # only a regular file has an offset that a second writer would write over
+            stats = [os.fstat(fh.fileno()) for fh in handles]
+            files = [st for st in stats if stat.S_ISREG(st.st_mode)]
+            if len(files) == 2 and os.path.samestat(*files):
+                raise CliError("--out and --pgm name the same file")
+            if files and not args.out and _same_file_as_stdout(files[0]):
+                raise CliError("--pgm and stdout name the same file")
+            try:
+                for (path, writer), fh in zip(outputs, handles):
                     writer(grid, fh)
                     fh.flush()
-                finally:
+            finally:  # a file whose writer never started is cut to nothing
+                for fh, st in zip(handles, stats):
                     if stat.S_ISREG(st.st_mode):
                         os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    finally:
-        for fh in handles:
-            fh.close()
     if not args.out:
         sys.stdout.flush()  # text printed before the CSV goes out first
         out = getattr(sys.stdout, "buffer", None)

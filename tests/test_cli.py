@@ -786,18 +786,21 @@ def test_rejected_export_keeps_existing_file(case, message, tmp_path, capsys, mo
     ids=["os-error", "memory-error"],
 )
 def test_failed_writer_keeps_no_earlier_tail(exc, message, tmp_path, capsys, monkeypatch):
-    """A writer that raises leaves its file cut to the bytes it wrote."""
-    out = tmp_path / "fig2.csv"
+    """A writer that raises leaves its file cut to the bytes it wrote, and a
+    file whose writer never started cut to nothing."""
+    out, pgm = tmp_path / "fig2.csv", tmp_path / "fig2.pgm"
     out.write_bytes(b"an earlier, longer export\n" * 1000)
+    pgm.write_bytes(b"an earlier image")
 
     def failing_writer(grid, fh):
         fh.write(b"c1,c2,value\n")
         raise exc
 
     monkeypatch.setattr(cli, "_write_landscape_csv", failing_writer)
-    assert run(["scan-fig2", *FIG2, "--grid", "11", "--out", str(out)]) == 1
+    assert run(["scan-fig2", *FIG2, "--grid", "11", "--out", str(out), "--pgm", str(pgm)]) == 1
     assert capsys.readouterr().err == message.format(out)
     assert out.read_bytes() == b"c1,c2,value\n"
+    assert pgm.read_bytes() == b""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
