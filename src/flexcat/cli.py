@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = success / checked relation true; 1 = input or validation
-error, a request too large for memory, an export file that cannot be
-written, --out and --pgm naming one file (or --pgm naming the file stdout
-is redirected to), or stdout closed by its reader; 2 = checked relation
+error, a request too large for memory, an export file or a stdout that
+cannot be written, --out and --pgm naming one file (or --pgm naming the
+file stdout is redirected to), or stdout closed by its reader (the only
+case with no error line); 2 = checked relation
 false or a search found a counterexample, so shell scripts can branch on
 the math.
 
@@ -257,10 +258,7 @@ def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
     hi = float(vals.max())
     pixels = (vals - lo) / (hi - lo) if hi > lo else np.zeros(vals.shape)
     pixels *= 255.0
-    # Adding and taking away 2**52 rounds 0 <= x < 2**51 to the nearest
-    # integer, ties to even, as np.round does, at a quarter of its cost.
-    pixels += 2.0**52
-    pixels -= 2.0**52
+    np.rint(pixels, out=pixels)  # ties to even
     # rows follow c2 from lowest to highest; columns follow c1
     pixels = pixels.astype(np.uint8).T
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
@@ -674,14 +672,15 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (`flexcat ... | head`): exit 1 with
-        # no traceback. Closing stdout drops the unwritten rest, so the flush
-        # at interpreter exit does not hit the broken pipe again.
-        try:
+    except OSError as exc:
+        # stdout cannot be written: its reader closed it early (`flexcat ... |
+        # head`), which exits 1 quietly, or it is full or failing, which exits
+        # 1 with one error line. Closing stdout drops the unwritten rest, so
+        # the flush at interpreter exit does not fail again.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
             sys.stdout.close()
-        except BrokenPipeError:
-            pass
         code = 1
     sys.exit(code)
 

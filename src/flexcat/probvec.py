@@ -4,14 +4,13 @@ All values are immutable after construction and every operation is a pure
 function, so they can be shared freely across threads.
 
 Each input is checked and converted once. _clamped makes make_prob_vec's
-checks in a few C-level scans and falls back to the per-entry loop of
-_reject only to raise, so every error keeps its class, message and
-precedence. The public constructors ProbVec, SchmidtVec and GibbsVec run the
-same checks on the values they are given, but neither clamp nor renormalize
-them. A vector the package builds from values it has already checked, or
-that are valid by construction (sorts, tensor products), is made by _build,
-which checks nothing. Computed Gibbs weights go through _gibbs, which checks
-only that none has underflowed to 0.
+checks in a few C-level scans; only invalid input walks its entries, to name
+the first bad one. The public constructors ProbVec, SchmidtVec and GibbsVec
+run the same checks on the values they are given, but neither clamp nor
+renormalize them. A vector the package builds from values it has already
+checked, or that are valid by construction (sorts, tensor products), is made
+by _build, which checks nothing. Computed Gibbs weights go through _gibbs,
+which checks only that none has underflowed to 0.
 """
 
 from __future__ import annotations
@@ -136,21 +135,23 @@ def _gibbs(weights: tuple[float, ...]) -> GibbsVec:
     return _build(GibbsVec, weights)
 
 
-def _reject(vals: list[float]) -> tuple[list[float], float]:
-    """make_prob_vec's checks one entry at a time, in their order of precedence.
+def _clamped(vals: list[float]) -> tuple[list[float], float]:
+    """The entries with those within CLAMP of zero made exact zeros, and their sum.
 
-    The error path of _clamped: it raises the first failure, so each error
-    keeps its class and message. Returns what _clamped returns should the
-    values pass after all.
+    Raises as make_prob_vec documents, the first failing entry naming the
+    error. Valid input takes a few C-level scans.
     """
     if not vals:
         raise EmptyVector("probability vector needs at least one entry")
-    for v in vals:
-        if not math.isfinite(v):
-            raise NonFiniteEntry(f"entry {v} is not finite")
-        if v < -CLAMP:
-            raise NegativeEntry(f"entry {v} is negative")
-    vals = [0.0 if abs(v) <= CLAMP else v for v in vals]
+    low = min(vals)
+    if low < -CLAMP or not all(map(math.isfinite, vals)):
+        for v in vals:
+            if not math.isfinite(v):
+                raise NonFiniteEntry(f"entry {v} is not finite")
+            if v < -CLAMP:
+                raise NegativeEntry(f"entry {v} is negative")
+    if low <= CLAMP:
+        vals = [0.0 if abs(v) <= CLAMP else v for v in vals]
     try:
         total = math.fsum(vals)
     except OverflowError:  # a sum beyond the float range is far from 1
@@ -158,26 +159,6 @@ def _reject(vals: list[float]) -> tuple[list[float], float]:
     if abs(total - 1.0) > SUM_TOL:
         raise BadNormalization(f"entries sum to {total}, expected 1 within {SUM_TOL}")
     return vals, total
-
-
-def _clamped(vals: list[float]) -> tuple[list[float], float]:
-    """The entries with those within CLAMP of zero made exact zeros, and their sum.
-
-    Raises as make_prob_vec documents. Valid input takes a few C-level
-    scans; exact zeros and entries within CLAMP stay on this path. Anything
-    else goes to _reject.
-    """
-    if vals and all(map(math.isfinite, vals)):
-        low = min(vals)
-        if low >= -CLAMP:
-            clamped = vals if low > CLAMP else [0.0 if abs(v) <= CLAMP else v for v in vals]
-            try:
-                total = math.fsum(clamped)
-            except OverflowError:
-                return _reject(vals)
-            if abs(total - 1.0) <= SUM_TOL:
-                return clamped, total
-    return _reject(vals)
 
 
 def _normalized(raw: Iterable[float]) -> tuple[float, ...]:

@@ -7,11 +7,8 @@ setting. A 2-cycle landscape has one weight axis: cell (i, j) needs steps
 x⊗c_i → y⊗c_j and x⊗c_j → y⊗c_i, entries (i, j) and (j, i) of one step
 matrix S, so a scan computes S once and combines it with S.T. Every kernel
 runs in one thread. The entanglement kernels loop over the 2d tail or
-prefix columns, updating one 2-D buffer per column; the thermal kernel
-works per distinct abscissa row on both sides (each dominating curve is
-evaluated once per run of equal abscissa rows, on segments counted once per
-distinct abscissa row of its own set), skips the columns every row clears,
-and fills each run's cells from one index interval per row. Every entanglement
+prefix columns, updating one 2-D buffer per column; the thermal kernel is
+thermo.dominance_matrix, whose docstring describes it. Every entanglement
 search builds its steps in _step_rows, zero-padded as the scalar API pads;
 the thermal scans build theirs in thermo._step_curves. The harness tests
 each trial's endpoint conditions, then the grid diagonal, and searches

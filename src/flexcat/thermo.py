@@ -16,17 +16,8 @@ holds a point; a narrow one's slope, rounded by up to ulp/width, is never
 extended past its ends. Every catalysed check, thermo_flexible_ok and the
 thermal scans in search, builds its step curves in _step_curves.
 
-The all-pairs kernel dominance_matrix makes the same comparisons without
-making them one cell at a time, and does its work per distinct abscissa row
-on both sides. The dominated rows are grouped by abscissa row (one stable
-sort, only when a row recurs after another), and each dominating curve is
-evaluated once per group, on segments counted once per distinct abscissa
-row of the dominating set. Column pairs that every row clears are skipped.
-Within a group every height column that is monotone in the row index
-passes on a prefix or suffix of the group, so each (row, group) pair
-reduces to one index interval. Only rows whose value falls inside a
-non-monotone column's range (a constant height jittering by an ulp) are
-compared cell by cell.
+The all-pairs kernel dominance_matrix makes the same comparisons in bulk;
+its docstring says how.
 """
 
 from __future__ import annotations

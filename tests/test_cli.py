@@ -383,6 +383,12 @@ PINNED_OUTPUTS = [
         "515d87c60c2b4ad2a64e9ee343f07669e65eb05634d40525f3803e4ea6c9586a",
     ),
     (
+        "fig2-tiny-weight-json",
+        ["scan-fig2", "--x", "0.5,0.3,0.2", "--y", "0.6,0.3,0.1", "--levels-s", "0,1,40",
+         "--levels-c", "0,1", "--beta", "1", "--grid", "11", "--json"],
+        hashlib.sha256(b'{"feasible_cells": 15, "steps": 11}\n').hexdigest(),
+    ),
+    (
         "reproduce-all",
         ["reproduce", "--all", "--json"],
         "abe8a5d330670b758cebf3ef7b797c2c52ac9ac09d40cf1367bc394d8eb2a20d",
@@ -406,7 +412,9 @@ PINNED_OUTPUTS = [
 )
 def test_landscape_outputs_match_pinned_hashes(argv, sha, capsys):
     assert run(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha
+    assert captured.err == ""
 
 
 def _export_digests(tmp_path, argv) -> tuple[str, str]:
@@ -829,6 +837,22 @@ def test_closed_stdout_pipe_exits_quietly():
         proc.stderr.close()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["vidal", "--x", DEMO_X, "--y", DEMO_Y], ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "11"]],
+    ids=["vidal", "scan-fig1"],
+)
+def test_full_stdout_exits_one_with_one_line(argv, unbuffered):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flexcat.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    assert (proc.returncode, proc.stderr) == (1, b"error: cannot write stdout: No space left on device\n")
+
+
 def test_stdout_pipe_csv_matches_pinned_hash():
     """The CSV through a real pipe, which in-process capture does not exercise."""
     argv, sha = next(row[1:] for row in PINNED_OUTPUTS if row[0] == "fig1-401-range")
@@ -1004,6 +1028,7 @@ def test_negative_beta_exits_one(argv, capsys):
         # axes whose square grid numpy could not size, rejected before any allocation
         ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "100000000000000000000"],
         ["scan-fig2", *FIG2, "--grid", "100000000000000000000"],
+        ["scan-fig1", "--x", "0.5,0.3,0.2", "--y", "0.6,0.3,0.1", "--grid", "100000000000000000000", "--json"],
         ["best-catalyst", "--flexible", "--x", DEMO_X, "--y", DEMO_Y, "--grid", "100000000000000000000"],
         ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--resolution", "1e-300"],
         ["conjecture", "--trials", "1", "--resolution", "1e-300"],
@@ -1062,6 +1087,7 @@ def test_grid_too_large_for_memory_exits_one(command, scan, flags, exc, message,
         ("vidal", {"x": [None, 1], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
         ("vidal", {"x": [True, False], "y": [0.5, 0.5]}, "instance key x holds a non-number"),
         ("vidal", {"x": ["0.5", "0.5"], "y": [1, 0]}, "instance key x holds a non-number"),
+        ("vidal", {"x": ["0.5", "0.5"], "y": ["1", "0"]}, "instance key x holds a non-number"),
         (
             "check-flex",
             {"x": [1, 0], "y": [1, 0], "cycle": [[1, 0], [0.5, "b"]]},
@@ -1073,8 +1099,8 @@ def test_grid_too_large_for_memory_exits_one(command, scan, flags, exc, message,
         ("vidal", None, "cannot read instance.json: [Errno 2] No such file or directory"),
     ],
     ids=["levels-not-list", "beta-string", "beta-list", "beta-numeric-string", "x-string", "x-null",
-         "x-bool", "x-numeric-string", "cycle-string", "empty-cycle", "x-int-past-float-range", "array",
-         "missing-file"],
+         "x-bool", "x-numeric-string", "xy-numeric-strings", "cycle-string", "empty-cycle",
+         "x-int-past-float-range", "array", "missing-file"],
 )
 def test_instance_file_rejects_non_list_levels(tmp_path, monkeypatch, capsys, command, instance, message):
     monkeypatch.chdir(tmp_path)

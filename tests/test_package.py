@@ -67,6 +67,17 @@ def test_scalar_command_loads_no_numpy(argv):
     assert (found["code"], found["loaded"]) == (0, []), found["out"]
 
 
+def test_cold_cli_vidal_imports_no_numpy():
+    """The console entry point itself, run by `python -m`, with every import listed."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "flexcat.cli", "vidal", "--x", DEMO_X, "--y", DEMO_Y],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0.585742\n")
+    assert [line for line in proc.stderr.splitlines() if " numpy" in line] == []
+
+
 def test_array_command_still_runs_in_a_fresh_process():
     found = _fresh(
         "from flexcat.cli import run\n"
