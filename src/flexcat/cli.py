@@ -15,14 +15,14 @@ override the file; unknown keys are rejected). Numeric output uses fixed
 
 Only the commands that scan, search, export or compare thermal curves import
 search, thermo and numpy, inside the command, so the scalar checks start in
-pure Python.
+pure Python. json is likewise imported only to read an instance file or to
+print --json output.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import stat
@@ -115,6 +115,8 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _load_instance(path: str) -> dict:
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -183,9 +185,15 @@ class _Inputs:
         return make_cycle(sort_desc(s) if sort else s for s in states)
 
 
+def _print_json(payload: dict) -> None:
+    import json
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         for line in text_lines:
             print(line)
@@ -218,6 +226,9 @@ def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
     blocks, in one reused (rows, n, 3) array of fields of about
     _CSV_BLOCK_BYTES (at least one row), and each block is written at once
     with the padding dropped, so fields of unequal width come out right.
+    When every field fills its width (the usual case: all axis points and
+    values in [0, 10), none negative), nothing is padded and each block's
+    own buffer is written, with no copy.
     Values are told apart by their bit pattern, read as unsigned ints of the
     cells' own width (8 bytes for a float64 grid, 1 for a bool one), so -0.0
     keeps its own text ("-0.000000") instead of merging with 0.0, and a bool
@@ -230,15 +241,19 @@ def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
 
     vals = grid.values
     bits = vals.view(f"u{vals.itemsize}")
-    axis = np.array([f"{v:.6f},".encode() for v in grid.spec.axis1().tolist()])
+    axis = [f"{v:.6f},".encode() for v in grid.spec.axis1().tolist()]
     if vals.dtype == bool:  # numpy sorts uint8 about 15 times slower than uint64
         distinct = np.arange(bits.min(), bits.max() + 1, dtype=bits.dtype)
     else:
         ordered = np.sort(bits, axis=None)
         distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    text = np.array([f"{v:.6f}\n".encode() for v in distinct.view(vals.dtype).tolist()])
+    text = [f"{v:.6f}\n".encode() for v in distinct.view(vals.dtype).tolist()]
+    widths = set(map(len, axis + text))
+    padded = len(widths) > 1  # else every field fills its width
+    field = np.dtype(f"S{max(widths)}")
+    axis = np.array(axis, dtype=field)
+    text = np.array(text, dtype=field)
     n = len(axis)
-    field = np.promote_types(axis.dtype, text.dtype)
     rows = max(1, min(n, _CSV_BLOCK_BYTES // (3 * n * field.itemsize)))
     cells = np.empty((rows, n, 3), dtype=field)
     cells[:, :, 1] = axis  # both weights share one axis
@@ -247,7 +262,7 @@ def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
         block = cells[: n - start]  # the last block may be partial
         block[:, :, 0] = axis[start : start + rows, None]
         block[:, :, 2] = text.take(np.searchsorted(distinct, bits[start : start + rows]))
-        out.write(block.tobytes().replace(b"\0", b""))
+        out.write(block.tobytes().replace(b"\0", b"") if padded else block)
 
 
 def _write_landscape_pgm(grid: LandscapeGrid, out) -> None:
@@ -325,7 +340,7 @@ def _export_landscape(args: argparse.Namespace, grid: LandscapeGrid) -> None:
         sys.stdout.flush()  # text printed before the CSV goes out first
         out = getattr(sys.stdout, "buffer", None)
         if out is None:  # a text-only stdout, such as io.StringIO
-            out = types.SimpleNamespace(write=lambda data: sys.stdout.write(data.decode("ascii")))
+            out = types.SimpleNamespace(write=lambda data: sys.stdout.write(str(data, "ascii")))
         _write_landscape_csv(grid, out)
 
 
@@ -389,7 +404,7 @@ def _cmd_scan_fig1(args: argparse.Namespace) -> int:
     spec = _grid_spec(args, DEFAULT_ENT_GRID)
     grid = scan_pflex_landscape(x, y, spec)
     if args.json:
-        print(json.dumps({"steps": spec.steps1, "max": float(grid.values.max())}, sort_keys=True))
+        _print_json({"steps": spec.steps1, "max": float(grid.values.max())})
     else:
         _export_landscape(args, grid)
     return 0
@@ -407,7 +422,7 @@ def _cmd_scan_fig2(args: argparse.Namespace) -> int:
     )
     if args.json:
         feasible = int(grid.values.sum())
-        print(json.dumps({"steps": spec.steps1, "feasible_cells": feasible}, sort_keys=True))
+        _print_json({"steps": spec.steps1, "feasible_cells": feasible})
     else:
         _export_landscape(args, grid)
     return 0
@@ -549,7 +564,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             {"name": name, "expected": expected, "computed": computed, "tol": tol, "pass": ok}
         )
     if args.json:
-        print(json.dumps({"results": results, "all_pass": all_ok}, sort_keys=True))
+        _print_json({"results": results, "all_pass": all_ok})
     else:
         width = max(len(r["name"]) for r in results)
         for r in results:

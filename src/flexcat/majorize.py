@@ -9,19 +9,32 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .probvec import CMP_TOL, Cycle, ProbVec, SchmidtVec, as_schmidt_vec, sort_desc, tensor
+from .probvec import (
+    CMP_TOL,
+    Cycle,
+    ProbVec,
+    SchmidtVec,
+    _Frozen,
+    as_schmidt_vec,
+    sort_desc,
+    tensor,
+)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(_Frozen):
     """Prefix positions where one vector's partial sums exceed the other's."""
 
+    __match_args__ = ("indices", "m", "n_max")
     indices: frozenset[int]
     m: int | None
     n_max: int | None
+
+    def __init__(self, indices: frozenset[int], m: int | None, n_max: int | None) -> None:
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n_max", n_max)
 
     @property
     def empty(self) -> bool:

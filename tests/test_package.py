@@ -34,7 +34,7 @@ def _fresh(body: str) -> dict:
 def test_import_defers_search_and_thermo_until_first_access():
     found = _fresh(
         "import flexcat\n"
-        f"found['loaded'] = sorted(set({HEAVY!r}) & set(sys.modules))\n"
+        f"found['loaded'] = sorted(set({HEAVY!r} + ['dataclasses']) & set(sys.modules))\n"
         "found['deferred'] = sorted(set(flexcat.__all__) - set(vars(flexcat)))\n"
         "found['gibbs'] = flexcat.thermo.gibbs_vector([0, 1], 0.0).values\n"
         "found['unbound'] = sorted(set(flexcat.__all__) - set(vars(flexcat)))\n"
@@ -67,15 +67,31 @@ def test_scalar_command_loads_no_numpy(argv):
     assert (found["code"], found["loaded"]) == (0, []), found["out"]
 
 
-def test_cold_cli_vidal_imports_no_numpy():
-    """The console entry point itself, run by `python -m`, with every import listed."""
+def _cold_vidal(*flags: str) -> tuple[int, str, set[str]]:
+    """Exit code, stdout and top-level imported modules of a fresh `python -m flexcat.cli vidal`."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "flexcat.cli", "vidal", "--x", DEMO_X, "--y", DEMO_Y],
+        [sys.executable, "-X", "importtime", "-m", "flexcat.cli", "vidal", *flags],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "0.585742\n")
-    assert [line for line in proc.stderr.splitlines() if " numpy" in line] == []
+    # -X importtime lists one module a line: "import time: self | cumulative | name"
+    listed = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    return proc.returncode, proc.stdout, {name.split(".")[0] for name in listed}
+
+
+def test_cold_cli_vidal_imports_no_numpy(tmp_path):
+    """The console entry point itself, run by `python -m`, with every import listed."""
+    code, out, loaded = _cold_vidal("--x", DEMO_X, "--y", DEMO_Y)
+    assert (code, out) == (0, "0.585742\n")
+    # dataclasses pulls in inspect and ast; json is needed only for --json and --file
+    assert {"numpy", "dataclasses", "inspect", "json"} & loaded == set()
+    p = flexcat.vidal_probability(X_DEMO4, Y_DEMO4)
+    code, out, loaded = _cold_vidal("--x", DEMO_X, "--y", DEMO_Y, "--json")
+    assert (code, out) == (0, json.dumps({"probability": p}, sort_keys=True) + "\n")
+    assert {"numpy", "dataclasses"} & loaded == set() and "json" in loaded
+    instance = tmp_path / "demo.json"
+    instance.write_text(json.dumps({"x": X_DEMO4, "y": Y_DEMO4}), encoding="utf-8")
+    assert _cold_vidal("--file", str(instance))[:2] == (0, "0.585742\n")
 
 
 def test_array_command_still_runs_in_a_fresh_process():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -22,6 +24,7 @@ from flexcat import (
     NotSorted,
     ProbVec,
     SchmidtVec,
+    ViolationReport,
     gibbs_vector,
     make_cycle,
     make_prob_vec,
@@ -32,7 +35,7 @@ from flexcat import (
     uniform,
     vidal_probability,
 )
-from flexcat.probvec import CLAMP, SUM_TOL, as_schmidt_vec
+from flexcat.probvec import CLAMP, SUM_TOL, _build, as_schmidt_vec
 from flexcat.thermo import as_gibbs_vec
 
 
@@ -189,6 +192,65 @@ def test_prob_vec_is_immutable():
     with pytest.raises(AttributeError):
         v.values = (1.0, 0.0)
     assert isinstance(v, ProbVec)
+
+
+_HALF = SchmidtVec((0.5, 0.5))
+_SKEW = SchmidtVec((0.75, 0.25))
+
+# class, field values in order, and the exact repr of the value built from them
+VALUE_CASES = [
+    (ProbVec, ((0.25, 0.75),), "ProbVec(values=(0.25, 0.75))"),
+    (SchmidtVec, ((0.75, 0.25),), "SchmidtVec(values=(0.75, 0.25))"),
+    (GibbsVec, ((0.75, 0.25),), "GibbsVec(values=(0.75, 0.25))"),
+    (
+        Cycle,
+        ((_HALF, _SKEW),),
+        "Cycle(states=(SchmidtVec(values=(0.5, 0.5)), SchmidtVec(values=(0.75, 0.25))))",
+    ),
+    (
+        ViolationReport,
+        (frozenset({1, 2}), 1, 2),
+        "ViolationReport(indices=frozenset({1, 2}), m=1, n_max=2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", VALUE_CASES, ids=[c[0].__name__ for c in VALUE_CASES])
+def test_value_classes_compare_hash_print_and_copy_by_fields(cls, fields, text):
+    obj = cls(*fields)
+    assert obj == cls(**dict(zip(cls.__match_args__, fields)))
+    assert tuple(getattr(obj, name) for name in cls.__match_args__) == fields
+    assert hash(obj) == hash(cls(*fields)) == hash(fields)
+    assert repr(obj) == text
+    for name in (*cls.__match_args__, "other"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert repr(obj) == text  # the failed writes changed nothing
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is cls and twin == obj and hash(twin) == hash(obj)
+
+
+def test_value_classes_differ_across_classes():
+    vals = (0.5, 0.5)
+    vecs = [ProbVec(vals), SchmidtVec(vals), GibbsVec(vals)]
+    for i, a in enumerate(vecs):
+        for j, b in enumerate(vecs):
+            assert (a == b) is (i == j) and (a != b) is (i != j)
+        assert a != vals and a.values == vals
+    assert ProbVec((0.25, 0.75)) != ProbVec((0.75, 0.25))
+    assert Cycle((_HALF,)) != Cycle((ProbVec((0.5, 0.5)),))
+    assert ViolationReport(frozenset(), None, None) != ViolationReport(frozenset({1}), 1, 1)
+
+
+@pytest.mark.parametrize("cls", [ProbVec, SchmidtVec, GibbsVec])
+def test_build_equals_public_constructor(cls):
+    vals = (0.75, 0.25)
+    built = _build(cls, vals)
+    assert type(built) is cls and built == cls(vals) and repr(built) == repr(cls(vals))
+    assert cls.__match_args__ == ("values",)
 
 
 def test_public_constructors_reject_what_make_prob_vec_rejects():
