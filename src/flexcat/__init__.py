@@ -74,7 +74,6 @@ _LAZY = {
     ),
     "thermo": (
         "LorenzCurve",
-        "ThermoContext",
         "curve_geq",
         "gibbs_tensor",
         "lorenz_curve",
@@ -125,7 +124,6 @@ __all__ = [
     "ProbVec",
     "SamplingFailed",
     "SchmidtVec",
-    "ThermoContext",
     "ViolationReport",
     "WrongDimension",
     "ZeroTail",

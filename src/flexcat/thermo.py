@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,23 +54,6 @@ def as_gibbs_vec(g: ProbVec | Sequence[float]) -> GibbsVec:
     _clamped(vals)  # raises on NaN, infinite or negative entries and bad sums
     total = math.fsum(vals)
     return _gibbs(tuple(v / total for v in vals))
-
-
-@dataclass(frozen=True)
-class ThermoContext:
-    """Energy levels plus inverse temperature, with the derived Gibbs vector."""
-
-    levels: tuple[float, ...]
-    beta: float
-    gibbs: GibbsVec = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(float(e) for e in self.levels))
-        object.__setattr__(self, "gibbs", gibbs_vector(self.levels, self.beta))
-
-    @property
-    def dim(self) -> int:
-        return len(self.levels)
 
 
 @dataclass(frozen=True)

@@ -304,10 +304,28 @@ def _bool_grid(steps: int, fill: bool | None) -> LandscapeGrid:
         (lambda: _bool_grid(9, True), None),
         # not symmetric, in blocks of 2, 2 and 1 rows of 1-byte cells
         (lambda: _bool_grid(5, None), 2 * 27 * 5),
+        # The value texts differ only in the span of byte columns that each block fills.
+        # one distinct value: the span is empty
+        (lambda: LandscapeGrid(GridSpec(0, 1, 0, 1, 3, 3), np.full((3, 3), 0.3), kind="probability"),
+         None),
+        # "0.250000" and "0.350000" differ in one interior byte
+        (lambda: _float_cells(GridSpec(0, 1, 0, 1, 3, 3), [[0.25, 0.35, 0.25], [0.35] * 3, [0.25] * 3]),
+         None),
+        # texts differing in the first and last digit, with constant bytes between
+        (lambda: _float_cells(GridSpec(0, 1, 0, 1, 2, 2), [[1.000001, 2.000002], [2.000002, 1.000001]]),
+         None),
+        # a 3-byte span, widened to 4: a span one byte short would not widen back over its end
+        (lambda: _float_cells(GridSpec(0, 1, 0, 1, 2, 2), [[0.205, 0.306], [0.306, 0.306]]), None),
+        # padded: "1.000000\n" ends one byte short of "10.000000\n", so a NUL varies
+        (lambda: _float_cells(GridSpec(0, 0.5, 0, 0.5, 2, 2), [[1.0, 10.0], [10.0, 1.0]]), None),
+        # both values in the first block of 2 rows, and only False in the blocks after it
+        (lambda: LandscapeGrid(GridSpec(0, 1, 0, 1, 5, 5), np.arange(25).reshape(5, 5) == 1,
+                               kind="feasibility"), 2 * 27 * 5),
     ],
     ids=["fig1-201", "fig1-range", "fig2-401", "fig2-1001", "partial-last-block", "row-over-budget",
          "signed-zeros", "wide-values", "all-distinct", "axis-2", "bool-all-false", "bool-all-true",
-         "bool-asymmetric"],
+         "bool-asymmetric", "span-empty", "span-interior-byte", "span-first-last-digit",
+         "span-three-bytes", "span-padded-nul", "bool-first-block-only"],
 )
 def test_landscape_csv_matches_cell_loop(make_grid, block_bytes, monkeypatch):
     if block_bytes is not None:

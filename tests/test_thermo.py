@@ -17,7 +17,6 @@ from flexcat import (
     GibbsVec,
     NonFiniteEntry,
     LorenzCurve,
-    ThermoContext,
     curve_geq,
     gibbs_tensor,
     gibbs_vector,
@@ -142,8 +141,6 @@ def test_gibbs_rejects_negative_beta(levels):
 def test_gibbs_rejects_nonfinite_levels(bad):
     with pytest.raises(NonFiniteEntry):
         gibbs_vector([0.0, bad, 2.0], 1.0)
-    with pytest.raises(NonFiniteEntry):
-        ThermoContext((bad, 1.0), 0.5)
 
 
 def test_gibbs_rejects_level_spread_beyond_float_range():
@@ -156,14 +153,6 @@ def test_gibbs_rejects_level_spread_beyond_float_range():
 def test_gibbs_vec_requires_positive_entries():
     with pytest.raises(FlexcatError):
         GibbsVec((1.0, 0.0))
-
-
-def test_thermo_context_derives_gibbs():
-    ctx = ThermoContext((0.0, 1.0, 2.0), 1.0)
-    assert ctx.gibbs.values == gibbs_vector([0, 1, 2], 1.0).values
-    assert ctx.dim == 3
-    with pytest.raises(BadRange):
-        ThermoContext((0.0, 1.0), -0.5)
 
 
 def test_lorenz_of_reference_is_diagonal():
