@@ -17,6 +17,7 @@ from .probvec import (
     ProbVec,
     SchmidtVec,
     _Frozen,
+    as_prob_vec,
     as_schmidt_vec,
     sort_desc,
     tensor,
@@ -103,7 +104,8 @@ def standard_catalysis_ok(
     c: ProbVec | Sequence[float],
 ) -> bool:
     """True iff c is a standard catalyst: x ⊗ c ≺ y ⊗ c."""
-    return is_majorized_by(sort_desc(tensor(x, c)), sort_desc(tensor(y, c)))
+    vx, vc = as_prob_vec(x), as_prob_vec(c)  # c is checked once, after x and before y
+    return is_majorized_by(sort_desc(tensor(vx, vc)), sort_desc(tensor(y, vc)))
 
 
 def flexible_cycle_ok(

@@ -8,7 +8,8 @@ x⊗c_i → y⊗c_j and x⊗c_j → y⊗c_i, entries (i, j) and (j, i) of one st
 matrix S, so a scan computes S once and combines it with S.T. Every kernel
 runs in one thread. The entanglement kernels loop over the 2d tail or
 prefix columns, updating one 2-D buffer per column; the thermal kernel is
-thermo.dominance_matrix, whose docstring describes it. Every entanglement
+thermo.dominance_matrix, whose docstring describes it, and the thermal
+2-cycle scan takes S & S.T from thermo._mutual_dominance. Every entanglement
 search builds its steps in _step_rows, zero-padded as the scalar API pads;
 the thermal scans build theirs in thermo._step_curves. The harness tests
 each trial's endpoint conditions, then the grid diagonal, and searches
@@ -41,7 +42,7 @@ from .probvec import (
     as_schmidt_vec,
     gibbs_vector,
 )
-from .thermo import _step_curves, dominance_diagonal, dominance_matrix
+from .thermo import _mutual_dominance, _step_curves, dominance_diagonal
 
 
 @dataclass(frozen=True)
@@ -364,9 +365,8 @@ def scan_thermo_feasibility(
     values[i, j] is True iff both steps of the cycle pass thermo-majorization.
     """
     _check_weight_range(spec, 1.0, "makes a negative population")
-    step = dominance_matrix(*_scan_curves(p, q, levels_s, levels_c, beta, spec.axis1()))
-    step &= step.T  # numpy buffers the overlapping operand; no second bool grid stays alive
-    return LandscapeGrid(spec, step, "feasibility")
+    feasible = _mutual_dominance(*_scan_curves(p, q, levels_s, levels_c, beta, spec.axis1()))
+    return LandscapeGrid(spec, feasible, "feasibility")
 
 
 def scan_thermo_standard(

@@ -7,6 +7,8 @@ import pytest
 
 from flexcat import (
     Cycle,
+    NegativeEntry,
+    NonFiniteEntry,
     NotSorted,
     flexible_cycle_ok,
     incomparable,
@@ -123,6 +125,19 @@ def test_standard_catalysis_matches_oracle():
         assert standard_catalysis_ok(xr, yr, cr) == oracle_standard_catalysis(
             list(xr.values), list(yr.values), list(cr.values)
         )
+
+
+@pytest.mark.parametrize(
+    "x, c, y, error",
+    [
+        ([0.5, float("nan"), 0.5], [1.2, -0.2], [0.6, 0.4], NonFiniteEntry),
+        ([0.6, 0.4], [1.2, -0.2], [0.5, float("nan"), 0.5], NegativeEntry),
+    ],
+    ids=["x-before-c", "c-before-y"],
+)
+def test_standard_catalysis_checks_x_then_c_then_y(x, c, y, error):
+    with pytest.raises(error):
+        standard_catalysis_ok(x, y, c)
 
 
 def test_flexible_cycle_length_one_equals_standard():

@@ -334,19 +334,19 @@ def _count_calls(monkeypatch, name: str, module=search) -> list[int]:
 def test_each_scan_builds_one_step_matrix(monkeypatch):
     """Both directions of a 2-cycle come from one step matrix and its transpose."""
     ratio_calls = _count_calls(monkeypatch, "_min_tail_ratio")
-    dominance_calls = _count_calls(monkeypatch, "dominance_matrix")
+    interval_calls = _count_calls(monkeypatch, "_step_intervals", thermo)
     scan_pflex_landscape(schmidt(X_DEMO4), schmidt(Y_DEMO4), GridSpec(0, 0.5, 0, 0.5, 31, 31))
     scan_thermo_feasibility(
         THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
     )
-    assert (ratio_calls, dominance_calls) == ([1], [1])
+    assert (ratio_calls, interval_calls) == ([1], [1])
 
 
 def test_thermal_scan_returns_its_step_matrix(monkeypatch):
-    """The symmetric AND is done in place, and the bool grid is returned without a copy."""
+    """The bool grid that the square scan fills is returned without a copy."""
     made = []
-    kernel = search.dominance_matrix
-    monkeypatch.setattr(search, "dominance_matrix", lambda *args: made.append(kernel(*args)) or made[0])
+    kernel = search._mutual_dominance
+    monkeypatch.setattr(search, "_mutual_dominance", lambda *args: made.append(kernel(*args)) or made[0])
     grid = scan_thermo_feasibility(
         THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
     )

@@ -27,12 +27,17 @@ from flexcat import (
     thermo_majorizes,
     uniform,
 )
+from flexcat import search, thermo
 from flexcat.errors import FlexcatError
 from flexcat.search import GridSpec, scan_thermo_feasibility
 from flexcat.thermo import (
+    _SUPPORT_ROUNDS,
     CURVE_TOL,
     _abscissa_groups,
     _curve_values,
+    _mutual_dominance,
+    _step_intervals,
+    _support,
     _tensor_rows,
     dominance_matrix,
     lorenz_breakpoints_batch,
@@ -664,6 +669,169 @@ def test_tiny_gibbs_weight_scan_matches_exact_oracle():
     )
     assert exact.sum() == 15
     assert np.array_equal(grid.values == 1.0, exact)
+
+
+# ---------------------------------------------------------------------------
+# the 2-cycle square scan: M & M.T, expanded only where a true cell can lie
+# ---------------------------------------------------------------------------
+
+
+def _dense_support(starts, lo, hi, order):
+    """The passing intervals as a dense matrix, and the points that _SUPPORT_ROUNDS
+    rounds of the support tests keep.
+
+    inside[i, j]: column j lies in one of row i's intervals. A point stays while
+    its row reaches a kept column and its column is reached by a kept row.
+    """
+    n = lo.shape[1]
+    cols = np.arange(n)
+    inside = np.zeros((n, n), dtype=bool)
+    for g, a in enumerate(starts):
+        inside |= (cols >= a + lo[g, :, None]) & (cols < a + hi[g, :, None])
+    if order is not None:
+        inside = inside[:, np.argsort(order)]
+    keep = np.ones(n, dtype=bool)
+    for _ in range(_SUPPORT_ROUNDS):
+        keep = keep & inside[:, keep].any(axis=1) & inside[keep].any(axis=0)
+    return inside, keep
+
+
+def _support_square(curves):
+    """The dense intervals of the scan's step matrix, and the square [r0, r1) that
+    the kept points span (None when no point is kept)."""
+    starts, _, lo, hi, _, order = _step_intervals(*curves)
+    inside, keep = _dense_support(starts, lo, hi, order)
+    kept = np.flatnonzero(keep)
+    return inside, (kept[0], kept[-1] + 1) if len(kept) else None
+
+
+def test_support_matches_dense_reference_on_random_intervals():
+    """Random runs and intervals, some covering a whole run, some empty, with and
+    without a column sort: the vectorized rounds keep what the dense ones keep."""
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 40))
+        starts = np.flatnonzero(np.r_[True, rng.random(n - 1) < 0.2])
+        lens = np.diff(np.r_[starts, n])
+        lo = (rng.random((len(starts), n)) * lens[:, None]).astype(np.intp)
+        hi = lo + (rng.random((len(starts), n)) * (lens[:, None] - lo + 1)).astype(np.intp)
+        hi[rng.random(hi.shape) < rng.uniform(0.0, 0.8)] = 0  # empty intervals
+        whole = rng.random(hi.shape) < rng.uniform(0.0, 0.3)
+        lo[whole], hi[whole] = 0, np.broadcast_to(lens[:, None], hi.shape)[whole]
+        np.maximum(hi, lo, out=hi)
+        order = place = None
+        if rng.random() < 0.5:
+            order = rng.permutation(n)
+            place = np.argsort(order)
+        keep = _support(starts, lens, lo, hi, order, place)
+        inside, want = _dense_support(starts, lo, hi, order)
+        assert np.array_equal(keep, want)
+        all_pass = inside.any(axis=1).all() and inside.any(axis=0).all()
+        case = "every point passes round 1" if all_pass else "rounds drop points"
+        outcomes.add((case, bool(want.any())))
+    assert outcomes == {
+        ("every point passes round 1", True),
+        ("rounds drop points", True),
+        ("rounds drop points", False),
+    }
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The (r0, r1) row ranges that the step matrix is expanded on, call by call."""
+    made = []
+    expand = thermo._expand_rows
+    monkeypatch.setattr(thermo, "_expand_rows", lambda *args: made.append(args[-2:]) or expand(*args))
+    return made
+
+
+def _assert_square_scan(expansions, curves, square_scan) -> bool:
+    """square_scan() equals dominance_matrix & its transpose, expanding only the
+    support square; returns whether the grid holds a true cell."""
+    step = dominance_matrix(*curves)
+    want = step & step.T
+    inside, square = _support_square(curves)
+    assert not (step & ~inside).any()  # every interval holds its row's true cells
+    expansions.clear()
+    got = square_scan()
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert expansions == ([] if square is None else [square])
+    return bool(want.any())
+
+
+def _thermal_draw(rng):
+    """A random d = 3 system as perfbench's thermal workloads draw one."""
+    p, q = (rng.exponential(1.0, 3) for _ in range(2))
+    return (
+        tuple(p / p.sum()),
+        tuple(q / q.sum()),
+        tuple(rng.uniform(0.0, 3.0, 3)),
+        (0.0, float(rng.uniform(0.2, 2.0))),
+        float(rng.uniform(0.3, 2.0)),
+    )
+
+
+@pytest.mark.parametrize("steps, draws", [(101, 300), (1001, 20)])
+def test_thermal_scan_equals_step_matrix_and_transpose(expansions, steps, draws):
+    rng = np.random.default_rng(steps)
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, steps, steps)
+    grids = {"empty": 0, "non-empty": 0, "proven empty": 0}
+    for _ in range(draws):
+        system = _thermal_draw(rng)
+        curves = search._scan_curves(*system, spec.axis1())
+        found = _assert_square_scan(
+            expansions, curves, lambda: scan_thermo_feasibility(*system, spec).values
+        )
+        grids["non-empty" if found else "empty"] += 1
+        grids["proven empty"] += not expansions
+    assert grids["non-empty"] > 0 and grids["empty"] > grids["proven empty"] > 0
+
+
+def _band_fixture():
+    """The band-row fixture of test_dominance_matrix_band_rows_match_grouped_reference."""
+    (xb, yb), _ = _random_scan_pair(np.random.default_rng(5), 4, AXIS, [0.0, 0.0])
+    return xb, yb - CURVE_TOL, xb, yb
+
+
+def _nan_fixture():
+    """The NaN pattern of test_dominance_matrix_nan_values_fail_like_grouped_reference,
+    on one curve set compared with itself, so that true cells remain."""
+    _, (xb, yb) = _random_scan_pair(np.random.default_rng(8), 3, AXIS)
+    xa, ya, yb = xb, yb.copy(), yb.copy()
+    ya[3] = np.nan
+    ya[::7, 2] = np.nan
+    yb[::5, 3] = np.nan
+    return xa, ya, xb, yb
+
+
+def _tiny_fixture():
+    """The tiny Gibbs weight of test_tiny_gibbs_weight_scan_matches_exact_oracle."""
+    return search._scan_curves(TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0, AXIS)
+
+
+SQUARE_FIXTURES = {"band-rows": _band_fixture, "nan": _nan_fixture, "tiny-gibbs": _tiny_fixture}
+
+
+@pytest.mark.parametrize("fixture", SQUARE_FIXTURES.values(), ids=SQUARE_FIXTURES.keys())
+def test_mutual_dominance_fixtures_equal_step_matrix_and_transpose(expansions, fixture):
+    curves = fixture()
+    assert _assert_square_scan(expansions, curves, lambda: _mutual_dominance(*curves))
+
+
+def test_mutual_dominance_unordered_rows_equal_step_matrix_and_transpose(expansions):
+    """Rows permuted the same way on both sides take the kernel's column sort."""
+    rng = np.random.default_rng(23)
+    found = set()
+    for _ in range(12):
+        a, b = _random_scan_pair(rng, 3, np.linspace(0.0, 1.0, 301))
+        perm = rng.permutation(301)
+        curves = (*_shuffled(a, perm), *_shuffled(b, perm))
+        assert _step_intervals(*curves)[-1] is not None
+        found.add(_assert_square_scan(expansions, curves, lambda: _mutual_dominance(*curves)))
+        ordered = _mutual_dominance(*a, *b)
+        assert np.array_equal(_mutual_dominance(*curves), ordered[perm][:, perm])
+    assert found == {True, False}
 
 
 @pytest.mark.parametrize("p", [(0.6, 0.4, 0.0), (0.5, 0.5, 0.0), (0.5, 0.3, 0.2)])
