@@ -8,8 +8,9 @@ x⊗c_i → y⊗c_j and x⊗c_j → y⊗c_i, entries (i, j) and (j, i) of one st
 matrix S, so a scan computes S once and combines it with S.T. Every kernel
 runs in one thread. The entanglement kernels loop over the 2d tail or
 prefix columns, updating one 2-D buffer per column; the thermal kernel is
-thermo.dominance_matrix, whose docstring describes it, and the thermal
-2-cycle scan takes S & S.T from thermo._mutual_dominance. Every entanglement
+thermo.dominance_matrix, whose docstring describes it. A thermal 2-cycle
+scan first tries to prove its grid empty from the curves' end slopes
+(_provably_empty) and builds no curve when it can. Every entanglement
 search builds its steps in _step_rows, zero-padded as the scalar API pads;
 the thermal scans build theirs in thermo._step_curves. The harness tests
 each trial's endpoint conditions, then the grid diagonal, and searches
@@ -32,6 +33,7 @@ from .errors import BadRange, DimensionMismatch, SamplingFailed, WrongDimension
 from .majorize import _padded, _steps, incomparable, vidal_probability
 from .probvec import (
     CMP_TOL,
+    CURVE_TOL,
     ENT_GRID_STEPS,
     PARAM_PRECISION,
     THERMO_GRID_STEPS,
@@ -42,7 +44,7 @@ from .probvec import (
     as_schmidt_vec,
     gibbs_vector,
 )
-from .thermo import _mutual_dominance, _step_curves, dominance_diagonal
+from .thermo import _step_curves, _step_inputs, dominance_diagonal, dominance_matrix
 
 
 @dataclass(frozen=True)
@@ -336,20 +338,81 @@ def best_flexible(
 # ---------------------------------------------------------------------------
 
 
-def _scan_curves(
+def _scan_inputs(
     p: ProbVec | Sequence[float],
     q: ProbVec | Sequence[float],
     levels_s: Sequence[float],
     levels_c: Sequence[float],
     beta: float,
     cs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Step curves p ⊗ (c_i, 1-c_i) and q ⊗ (c_j, 1-c_j) of a thermal scan."""
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[np.ndarray, np.ndarray, tuple[float, ...]]]:
+    """gamma_s, gamma_c and the _step_inputs of the steps p ⊗ (c_i, 1-c_i) → q ⊗ (c_j, 1-c_j)."""
     if len(levels_c) != 2:
         raise DimensionMismatch("catalyst parameterization needs exactly 2 levels")
     states = np.stack([cs, 1.0 - cs], axis=1)
     gamma_s, gamma_c = gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)
-    return _step_curves(p, q, gamma_s, gamma_c, states, states)
+    return gamma_s.values, gamma_c.values, _step_inputs(p, q, gamma_s, gamma_c, states, states)
+
+
+def _provably_empty(
+    pq: np.ndarray, gamma_s: tuple[float, ...], gamma_c: tuple[float, ...], cs: np.ndarray
+) -> bool:
+    """True when no cell of the thermal 2-cycle grid on axis cs can be feasible.
+
+    pq holds the validated p and q; no curve is built. Cell (i, j) needs
+    A_i ≥ B_j - τ and A_j ≥ B_i - τ at the breakpoints of the B curve, where A_i
+    and B_j are the Lorenz curves of p ⊗ (c_i, 1-c_i) and q ⊗ (c_j, 1-c_j)
+    against gamma_s ⊗ (g0, g1) and τ = CURVE_TOL. Per axis point, let
+    α = max(c/g0, (1-c)/g1), σ its least positive entry, and X the Gibbs
+    weight of its support: 1 inside the axis, g1 at c = 0, g0 at c = 1. With
+    a, a' the largest and least p/gamma_s (b, b' for q), A_i's first slope is
+    a·α_i and, when p has full support, its last positive slope is a'·σ_i.
+
+    A concave curve lies under the line of its first segment through the
+    origin and under the line of its last positive segment through its
+    support end (X_i, 1). In exact arithmetic each segment is at least
+    w = min(gamma_s)·min(g0, g1) wide, the least composite weight. So:
+
+    - B_j's first breakpoint (x, b·α_j·x) has x ≥ w, where A_i lies at most
+      a·α_i·x: A_i passes only if (b·α_j - a·α_i)·w ≤ τ. Adding the same
+      bound for A_j against B_i, (R1) (b - a)(α_i + α_j) ≤ 2τ/w.
+    - With full support, B_j's last positive segment starts at
+      (X_j - u, 1 - b'·σ_j·u) with u ≥ w. If X_i = X_j, A_i lies there at most
+      1 - a'·σ_i·u, so as for R1, (R2) (a' - b')(σ_i + σ_j) ≤ 2τ/w.
+    - If X_i > X_j, A_i lies at most 1 - a'·σ_i(X_i - X_j) at B_j's support
+      end (X_j, 1), so (R3) a'·σ_i(X_i - X_j) ≤ τ.
+
+    A point is kept when, among the partners of some one support weight, the
+    most lenient partner of each rule passes it: a superset of the points of
+    feasible cells. τ gets an allowance for the few ulps by which the kernel's
+    sums and these products round. A subnormal weight rounds by more, so
+    then nothing is proven.
+    """
+    g0, g1 = gamma_c
+    w = min(gamma_s) * min(g0, g1)
+    if w < np.finfo(float).tiny:
+        return False
+    tol = CURVE_TOL + 64 * (pq.shape[1] + 1) * np.finfo(float).eps
+    full = pq.min() > 0.0  # R2 and R3 need p and q of full support
+    ratios = pq / gamma_s
+    (a, b), (a1, b1) = ratios.max(axis=1), ratios.min(axis=1)
+    cat = np.stack([cs / g0, (1.0 - cs) / g1])
+    alpha = cat.max(axis=0)
+    sigma = np.where(cat > 0.0, cat, np.inf).min(axis=0)
+    support = np.where(cs == 0.0, g1, np.where(cs == 1.0, g0, 1.0))
+    kept = np.zeros(len(cs), dtype=bool)
+    for x in np.unique(support):
+        group = support == x
+        ok = (b - a) * (alpha + alpha[group].min()) <= 2 * tol / w  # R1
+        if full:
+            s = sigma[group].min()
+            ok &= np.where(
+                group,
+                (a1 - b1) * (sigma + s) <= 2 * tol / w,  # R2
+                a1 * np.where(support > x, sigma, s) * abs(support - x) <= tol,  # R3
+            )
+        kept |= ok
+    return not kept.any()
 
 
 def scan_thermo_feasibility(
@@ -365,8 +428,13 @@ def scan_thermo_feasibility(
     values[i, j] is True iff both steps of the cycle pass thermo-majorization.
     """
     _check_weight_range(spec, 1.0, "makes a negative population")
-    feasible = _mutual_dominance(*_scan_curves(p, q, levels_s, levels_c, beta, spec.axis1()))
-    return LandscapeGrid(spec, feasible, "feasibility")
+    cs = spec.axis1()
+    gamma_s, gamma_c, inputs = _scan_inputs(p, q, levels_s, levels_c, beta, cs)
+    if _provably_empty(inputs[0], gamma_s, gamma_c, cs):
+        return LandscapeGrid(spec, np.zeros((len(cs), len(cs)), dtype=bool), "feasibility")
+    step = dominance_matrix(*_step_curves(*inputs))
+    step &= step.T  # numpy buffers the overlapping operand; no second bool grid stays alive
+    return LandscapeGrid(spec, step, "feasibility")
 
 
 def scan_thermo_standard(
@@ -382,7 +450,7 @@ def scan_thermo_standard(
     Returns a boolean vector over c = linspace(0, 1, num).
     """
     cs = GridSpec(0.0, 1.0, 0.0, 1.0, num, num).axis1()  # GridSpec's rule: num >= 2
-    return dominance_diagonal(*_scan_curves(p, q, levels_s, levels_c, beta, cs))
+    return dominance_diagonal(*_step_curves(*_scan_inputs(p, q, levels_s, levels_c, beta, cs)[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ each point, with slack CURVE_TOL (each value sums up to d rounded products).
 A segment of zero width in floats (a Gibbs weight below about e^-37) never
 holds a point; a narrow one's slope, rounded by up to ulp/width, is never
 extended past its ends. Every catalysed check, thermo_flexible_ok and the
-thermal scans in search, builds its step curves in _step_curves.
+thermal scans in search, validates its inputs in _step_inputs and builds its
+step curves in _step_curves.
 
 The all-pairs kernel dominance_matrix makes the same comparisons in bulk;
-its docstring says how. The thermal 2-cycle scans call _mutual_dominance,
-which expands M & M.T only on the square where a true cell can lie.
+its docstring says how.
 """
 
 from __future__ import annotations
@@ -150,25 +150,35 @@ def _tensor_rows(v: np.ndarray, states: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, v.shape[-1] * states.shape[-1])
 
 
-def _step_curves(
+def _step_inputs(
     p: ProbVec | Sequence[float],
     q: ProbVec | Sequence[float],
     gamma_s: ProbVec | Sequence[float],
     gamma_c: ProbVec | Sequence[float],
     src: np.ndarray | Sequence[Sequence[float]],
     dst: np.ndarray | Sequence[Sequence[float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lorenz breakpoints (xa, ya, xb, yb) of the catalysed steps p ⊗ src[i] → q ⊗ dst[i].
+) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """Validated inputs of the catalysed steps p ⊗ src[i] → q ⊗ dst[i], for _step_curves.
 
-    Validates the states and references once; all rows take one batch call.
+    Returns p and q as a (2, d) array, src and dst as a (2, m, k) array and
+    the composite reference, checking each in that order.
     """
     gs, gc = as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)
     vp, vq = (_same_dim(as_prob_vec(v), gs) for v in (p, q))
     states = np.array([src, dst], dtype=float)  # (2, m, k): src's rows, then dst's
     if states.shape[2] != gc.dim:
         raise DimensionMismatch("cycle states and catalyst reference must share dimension")
-    rows = _tensor_rows(np.array([vp.values, vq.values]), states)
-    x, y = lorenz_breakpoints_batch(rows, gibbs_tensor(gs, gc).values)
+    return np.array([vp.values, vq.values]), states, gibbs_tensor(gs, gc).values
+
+
+def _step_curves(
+    pq: np.ndarray, states: np.ndarray, gamma: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lorenz breakpoints (xa, ya, xb, yb) of the steps that _step_inputs validated.
+
+    All rows take one batch call.
+    """
+    x, y = lorenz_breakpoints_batch(_tensor_rows(pq, states), gamma)
     m = states.shape[1]
     return x[:m], y[:m], x[m:], y[m:]
 
@@ -186,7 +196,8 @@ def thermo_flexible_ok(
     ratio order relative to gamma_c, not the magnitude order, is what counts.
     """
     states = [c.values for c in cycle.states]
-    xa, ya, xb, yb = _step_curves(p, q, gamma_s, gamma_c, states, states[1:] + states[:1])
+    inputs = _step_inputs(p, q, gamma_s, gamma_c, states, states[1:] + states[:1])
+    xa, ya, xb, yb = _step_curves(*inputs)
     return bool(dominance_diagonal(xa, ya, xb, yb).all())
 
 
@@ -282,24 +293,6 @@ def dominance_matrix(
 
     A NaN value empties its row's interval, as every comparison with it fails.
     """
-    starts, lens, lo, hi, band, order = _step_intervals(xa, ya, xb, yb)
-    out = _expand_rows(lens, lo, hi, band, 0, xa.shape[0])
-    if order is None:
-        return out
-    place = np.empty_like(order)  # place[j]: the sorted column of B_j
-    place[order] = np.arange(len(order))
-    return out[:, place]
-
-
-def _step_intervals(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray):
-    """Passing intervals of dominance_matrix: (starts, lens, lo, hi, band, order).
-
-    order is None, or the stable sort that groups B's recurring abscissa rows;
-    the runs (starts, lens) and the intervals index B's rows in that order.
-    Row i passes on columns starts[g] + [lo[g, i], hi[g, i]) of run g, except
-    where a band entry (start, end, rows, v, col) removes cells: for each
-    listed row i, column start + t passes only if v[i] >= col[t].
-    """
     m, size = xa.shape[0], xb.shape[0]
     distinct, group = _abscissa_groups(xb)
     order = None
@@ -324,7 +317,7 @@ def _step_intervals(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarr
     # 7x faster than isnan(vals).any(axis=2), a reduction over a short axis
     nan_rows, nan_runs = np.divmod(np.flatnonzero(np.isnan(vals)) // vals.shape[2], len(starts))
     hi[nan_runs, nan_rows] = 0
-    band = []
+    band = []  # (run, column, rows) compared cell by cell
     bounds = list(zip(starts.tolist(), ends.tolist()))
     for g, k in np.argwhere(~cleared).tolist():
         a, b = bounds[g]
@@ -336,90 +329,18 @@ def _step_intervals(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarr
         else:
             below, above = v < col.min(), v >= col.max()
             hi[g, below] = 0
-            band.append((a, b, np.flatnonzero(~(below | above)), v, col))
+            band.append((g, k, np.flatnonzero(~(below | above))))
     np.maximum(hi, lo, out=hi)
-    return starts, lens, lo, hi, band, order
-
-
-def _expand_rows(lens, lo, hi, band, r0: int, r1: int) -> np.ndarray:
-    """Rows r0:r1 of the step matrix, columns in the intervals' order."""
-    lo, hi = lo[:, r0:r1], hi[:, r0:r1]
     pieces = np.stack([lo, hi - lo, lens[:, None] - hi], axis=-1).transpose(1, 0, 2)
-    out = np.repeat(np.tile([False, True, False], lo.size), pieces.ravel()).reshape(r1 - r0, lens.sum())
-    for a, b, rows, v, col in band:
-        rows = rows[rows.searchsorted(r0) : rows.searchsorted(r1)]
-        out[rows - r0, a:b] &= v[rows, None] >= col
-    return out
-
-
-# Most empty grids are proven empty within a few rounds, but some systems need
-# dozens (134 seen), each a few passes over the intervals, and then take longer
-# than expanding the whole grid. Four rounds prove about 60% of the scans of
-# random d = 3 systems empty, of the 66-69% that are; more rounds moved the
-# median scan time by nothing measurable.
-_SUPPORT_ROUNDS = 4
-
-
-def _support(starts, lens, lo, hi, order, place) -> np.ndarray:
-    """The axis points that _mutual_dominance keeps, as a bool vector.
-
-    Starting from every point, each round keeps point i only if (a) one of
-    row i's intervals holds a kept column and (b) column i lies in an
-    interval of a kept row. When every row has an interval and each run is
-    one row's whole interval, every point passes both, so no round runs;
-    most grids with a true cell are of this kind, and no empty grid seen in
-    the benchmark's scans was.
-    """
-    n = lo.shape[1]
-    keep = np.ones(n, dtype=bool)
-    nonempty = hi > lo
-    if nonempty.any(axis=0).all() and ((lo == 0) & (hi == lens[:, None])).any(axis=1).all():
-        return keep
-    held = np.flatnonzero(nonempty)  # the non-empty intervals, as flat (run, row) indices
-    row = held % n
-    first, last = (starts[:, None] + lo).take(held), (starts[:, None] + hi).take(held)
-    seen = np.zeros(n + 1, dtype=np.intp)  # seen[s]: kept columns before sorted column s
-    for _ in range(_SUPPORT_ROUNDS):
-        np.cumsum(keep if order is None else keep[order], out=seen[1:])
-        reaches = np.zeros(n, dtype=bool)
-        reaches[row[seen.take(last) > seen.take(first)]] = True
-        edges = np.bincount(first, minlength=n + 1) - np.bincount(last, minlength=n + 1)
-        covered = edges.cumsum()[:n] > 0
-        kept = keep & reaches & (covered if order is None else covered[place])
-        if np.array_equal(kept, keep):
-            break
-        keep = kept
-        alive = keep.take(row)  # only a kept row's intervals count in the next round
-        row, first, last = row[alive], first[alive], last[alive]
-    return keep
-
-
-def _mutual_dominance(
-    xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray
-) -> np.ndarray:
-    """M & M.T for M = dominance_matrix(xa, ya, xb, yb), with A_i and B_i on one axis.
-
-    F[i, j] = M[i, j] and M[j, i] needs column j in one of row i's intervals
-    and column i in one of row j's, so a point of a true cell passes both
-    tests of _support in every round: band rows only remove cells and a NaN
-    empties an interval. F is zero outside the square that the kept points
-    span, and inside it is M & M.T computed as dominance_matrix computes M.
-    """
-    n = xa.shape[0]
-    starts, lens, lo, hi, band, order = _step_intervals(xa, ya, xb, yb)
-    place = None
-    if order is not None:
-        place = np.empty_like(order)  # place[j]: the sorted column of B_j
-        place[order] = np.arange(n)
-    kept = np.flatnonzero(_support(starts, lens, lo, hi, order, place))
-    out = np.zeros((n, n), dtype=bool)
-    if not len(kept):
+    out = np.repeat(np.tile([False, True, False], lo.size), pieces.ravel()).reshape(m, size)
+    for g, k, rows in band:
+        a, b = bounds[g]
+        out[rows, a:b] &= vals[rows, g, k, None] >= floor[a:b, k]
+    if order is None:
         return out
-    r0, r1 = kept[0], kept[-1] + 1
-    step = _expand_rows(lens, lo, hi, band, r0, r1)
-    square = step[:, r0:r1] if order is None else step[:, place[r0:r1]]
-    np.logical_and(square, square.T, out=out[r0:r1, r0:r1])
-    return out
+    place = np.empty_like(order)  # place[j]: the sorted column of B_j
+    place[order] = np.arange(size)
+    return out[:, place]
 
 
 def dominance_diagonal(

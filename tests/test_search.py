@@ -331,22 +331,29 @@ def _count_calls(monkeypatch, name: str, module=search) -> list[int]:
     return calls
 
 
+# the Console script CI step's system with an empty Fig. 2 grid
+EMPTY_FIG2 = ((0.6652, 0.2447, 0.0901), (0.1, 0.2, 0.7), (0, 1, 2), (0, 1), 1.0)
+
+
 def test_each_scan_builds_one_step_matrix(monkeypatch):
-    """Both directions of a 2-cycle come from one step matrix and its transpose."""
+    """Both directions of a 2-cycle come from one step matrix and its transpose,
+    and a thermal grid proven empty builds no curve."""
     ratio_calls = _count_calls(monkeypatch, "_min_tail_ratio")
-    interval_calls = _count_calls(monkeypatch, "_step_intervals", thermo)
+    step_calls = _count_calls(monkeypatch, "dominance_matrix")
+    curve_calls = _count_calls(monkeypatch, "_step_curves")
     scan_pflex_landscape(schmidt(X_DEMO4), schmidt(Y_DEMO4), GridSpec(0, 0.5, 0, 0.5, 31, 31))
-    scan_thermo_feasibility(
-        THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
-    )
-    assert (ratio_calls, interval_calls) == ([1], [1])
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 401, 401)  # the Fig. 2 grid, with 58 feasible cells
+    assert scan_thermo_feasibility(THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, spec).values.any()
+    assert (ratio_calls, step_calls, curve_calls) == ([1], [1], [1])
+    assert not scan_thermo_feasibility(*EMPTY_FIG2, spec).values.any()
+    assert (step_calls, curve_calls) == ([1], [1])
 
 
 def test_thermal_scan_returns_its_step_matrix(monkeypatch):
-    """The bool grid that the square scan fills is returned without a copy."""
+    """The bool grid that the step matrix is ANDed into is returned without a copy."""
     made = []
-    kernel = search._mutual_dominance
-    monkeypatch.setattr(search, "_mutual_dominance", lambda *args: made.append(kernel(*args)) or made[0])
+    kernel = search.dominance_matrix
+    monkeypatch.setattr(search, "dominance_matrix", lambda *args: made.append(kernel(*args)) or made[0])
     grid = scan_thermo_feasibility(
         THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
     )

@@ -31,13 +31,10 @@ from flexcat import search, thermo
 from flexcat.errors import FlexcatError
 from flexcat.search import GridSpec, scan_thermo_feasibility
 from flexcat.thermo import (
-    _SUPPORT_ROUNDS,
     CURVE_TOL,
     _abscissa_groups,
     _curve_values,
-    _mutual_dominance,
-    _step_intervals,
-    _support,
+    _step_curves,
     _tensor_rows,
     dominance_matrix,
     lorenz_breakpoints_batch,
@@ -672,92 +669,30 @@ def test_tiny_gibbs_weight_scan_matches_exact_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the 2-cycle square scan: M & M.T, expanded only where a true cell can lie
+# the 2-cycle scan: M & M.T, or nothing when the end slopes prove the grid empty
 # ---------------------------------------------------------------------------
 
 
-def _dense_support(starts, lo, hi, order):
-    """The passing intervals as a dense matrix, and the points that _SUPPORT_ROUNDS
-    rounds of the support tests keep.
-
-    inside[i, j]: column j lies in one of row i's intervals. A point stays while
-    its row reaches a kept column and its column is reached by a kept row.
-    """
-    n = lo.shape[1]
-    cols = np.arange(n)
-    inside = np.zeros((n, n), dtype=bool)
-    for g, a in enumerate(starts):
-        inside |= (cols >= a + lo[g, :, None]) & (cols < a + hi[g, :, None])
-    if order is not None:
-        inside = inside[:, np.argsort(order)]
-    keep = np.ones(n, dtype=bool)
-    for _ in range(_SUPPORT_ROUNDS):
-        keep = keep & inside[:, keep].any(axis=1) & inside[keep].any(axis=0)
-    return inside, keep
+def _mutual_reference(curves) -> np.ndarray:
+    """M & M.T for M of the grouped reference, compared column by column."""
+    step = _grouped_dominance(*curves)
+    return step & step.T
 
 
-def _support_square(curves):
-    """The dense intervals of the scan's step matrix, and the square [r0, r1) that
-    the kept points span (None when no point is kept)."""
-    starts, _, lo, hi, _, order = _step_intervals(*curves)
-    inside, keep = _dense_support(starts, lo, hi, order)
-    kept = np.flatnonzero(keep)
-    return inside, (kept[0], kept[-1] + 1) if len(kept) else None
-
-
-def test_support_matches_dense_reference_on_random_intervals():
-    """Random runs and intervals, some covering a whole run, some empty, with and
-    without a column sort: the vectorized rounds keep what the dense ones keep."""
-    rng = np.random.default_rng(29)
-    outcomes = set()
-    for _ in range(400):
-        n = int(rng.integers(2, 40))
-        starts = np.flatnonzero(np.r_[True, rng.random(n - 1) < 0.2])
-        lens = np.diff(np.r_[starts, n])
-        lo = (rng.random((len(starts), n)) * lens[:, None]).astype(np.intp)
-        hi = lo + (rng.random((len(starts), n)) * (lens[:, None] - lo + 1)).astype(np.intp)
-        hi[rng.random(hi.shape) < rng.uniform(0.0, 0.8)] = 0  # empty intervals
-        whole = rng.random(hi.shape) < rng.uniform(0.0, 0.3)
-        lo[whole], hi[whole] = 0, np.broadcast_to(lens[:, None], hi.shape)[whole]
-        np.maximum(hi, lo, out=hi)
-        order = place = None
-        if rng.random() < 0.5:
-            order = rng.permutation(n)
-            place = np.argsort(order)
-        keep = _support(starts, lens, lo, hi, order, place)
-        inside, want = _dense_support(starts, lo, hi, order)
-        assert np.array_equal(keep, want)
-        all_pass = inside.any(axis=1).all() and inside.any(axis=0).all()
-        case = "every point passes round 1" if all_pass else "rounds drop points"
-        outcomes.add((case, bool(want.any())))
-    assert outcomes == {
-        ("every point passes round 1", True),
-        ("rounds drop points", True),
-        ("rounds drop points", False),
-    }
-
-
-@pytest.fixture
-def expansions(monkeypatch):
-    """The (r0, r1) row ranges that the step matrix is expanded on, call by call."""
-    made = []
-    expand = thermo._expand_rows
-    monkeypatch.setattr(thermo, "_expand_rows", lambda *args: made.append(args[-2:]) or expand(*args))
-    return made
-
-
-def _assert_square_scan(expansions, curves, square_scan) -> bool:
-    """square_scan() equals dominance_matrix & its transpose, expanding only the
-    support square; returns whether the grid holds a true cell."""
+def _assert_mutual_dominance(curves) -> bool:
+    """dominance_matrix & its transpose equals the grouped reference's; returns
+    whether the grid holds a true cell."""
     step = dominance_matrix(*curves)
-    want = step & step.T
-    inside, square = _support_square(curves)
-    assert not (step & ~inside).any()  # every interval holds its row's true cells
-    expansions.clear()
-    got = square_scan()
-    assert got.dtype == bool and np.array_equal(got, want)
-    assert expansions == ([] if square is None else [square])
+    got = step & step.T
+    want = _mutual_reference(curves)
+    assert np.array_equal(got, want)
     return bool(want.any())
+
+
+def _scan_steps(system, cs):
+    """(pq, gamma_s, gamma_c, curves) of the thermal scan of system on axis cs."""
+    gamma_s, gamma_c, inputs = search._scan_inputs(*system, cs)
+    return inputs[0], gamma_s, gamma_c, _step_curves(*inputs)
 
 
 def _thermal_draw(rng):
@@ -773,18 +708,21 @@ def _thermal_draw(rng):
 
 
 @pytest.mark.parametrize("steps, draws", [(101, 300), (1001, 20)])
-def test_thermal_scan_equals_step_matrix_and_transpose(expansions, steps, draws):
+def test_thermal_scan_equals_step_matrix_and_transpose(monkeypatch, steps, draws):
     rng = np.random.default_rng(steps)
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, steps, steps)
+    built = []
+    kernel = search.dominance_matrix
+    monkeypatch.setattr(search, "dominance_matrix", lambda *args: built.append(1) or kernel(*args))
     grids = {"empty": 0, "non-empty": 0, "proven empty": 0}
     for _ in range(draws):
         system = _thermal_draw(rng)
-        curves = search._scan_curves(*system, spec.axis1())
-        found = _assert_square_scan(
-            expansions, curves, lambda: scan_thermo_feasibility(*system, spec).values
-        )
-        grids["non-empty" if found else "empty"] += 1
-        grids["proven empty"] += not expansions
+        want = _mutual_reference(_scan_steps(system, spec.axis1())[3])
+        built.clear()
+        got = scan_thermo_feasibility(*system, spec).values
+        assert got.dtype == bool and np.array_equal(got, want)
+        grids["non-empty" if want.any() else "empty"] += 1
+        grids["proven empty"] += not built
     assert grids["non-empty"] > 0 and grids["empty"] > grids["proven empty"] > 0
 
 
@@ -807,19 +745,18 @@ def _nan_fixture():
 
 def _tiny_fixture():
     """The tiny Gibbs weight of test_tiny_gibbs_weight_scan_matches_exact_oracle."""
-    return search._scan_curves(TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0, AXIS)
+    return _scan_steps((TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0), AXIS)[3]
 
 
 SQUARE_FIXTURES = {"band-rows": _band_fixture, "nan": _nan_fixture, "tiny-gibbs": _tiny_fixture}
 
 
 @pytest.mark.parametrize("fixture", SQUARE_FIXTURES.values(), ids=SQUARE_FIXTURES.keys())
-def test_mutual_dominance_fixtures_equal_step_matrix_and_transpose(expansions, fixture):
-    curves = fixture()
-    assert _assert_square_scan(expansions, curves, lambda: _mutual_dominance(*curves))
+def test_mutual_dominance_fixtures_equal_step_matrix_and_transpose(fixture):
+    assert _assert_mutual_dominance(fixture())
 
 
-def test_mutual_dominance_unordered_rows_equal_step_matrix_and_transpose(expansions):
+def test_mutual_dominance_unordered_rows_equal_step_matrix_and_transpose():
     """Rows permuted the same way on both sides take the kernel's column sort."""
     rng = np.random.default_rng(23)
     found = set()
@@ -827,11 +764,81 @@ def test_mutual_dominance_unordered_rows_equal_step_matrix_and_transpose(expansi
         a, b = _random_scan_pair(rng, 3, np.linspace(0.0, 1.0, 301))
         perm = rng.permutation(301)
         curves = (*_shuffled(a, perm), *_shuffled(b, perm))
-        assert _step_intervals(*curves)[-1] is not None
-        found.add(_assert_square_scan(expansions, curves, lambda: _mutual_dominance(*curves)))
-        ordered = _mutual_dominance(*a, *b)
-        assert np.array_equal(_mutual_dominance(*curves), ordered[perm][:, perm])
+        distinct, group = _abscissa_groups(curves[2])
+        assert (group[1:] != group[:-1]).sum() >= len(distinct)  # an abscissa row recurs
+        found.add(_assert_mutual_dominance(curves))
+        ordered = dominance_matrix(*a, *b)
+        shuffled = dominance_matrix(*curves)
+        assert np.array_equal(shuffled & shuffled.T, (ordered & ordered.T)[perm][:, perm])
     assert found == {True, False}
+
+
+def _pruning_draw(rng):
+    """A random system and axis from the cases the end-slope rules must survive."""
+    d = int(rng.integers(2, 7))
+    p, q = rng.exponential(1.0, (2, d))
+    if rng.random() < 0.25:  # zero entries in p or q
+        (p, q)[rng.integers(2)][rng.integers(d)] = 0.0
+    top = 60.0 if rng.random() < 0.2 else 3.0  # up to 60 kT: Gibbs weights near e^-60
+    levels_c = (0.0, 0.0) if rng.random() < 0.1 else (0.0, float(rng.uniform(0.2, top)))
+    levels_s = tuple(rng.uniform(0.0, top, d))
+    system = (tuple(p / p.sum()), tuple(q / q.sum()), levels_s, levels_c, 1.0)
+    lo, hi = (0.0, 1.0) if rng.random() < 0.6 else (0.2, 0.9) if rng.random() < 0.5 else (0.0, 0.5)
+    steps = int(rng.choice([2, 3, 11, 41]))
+    return system, GridSpec(lo, hi, lo, hi, steps, steps)
+
+
+def test_end_slope_pruning_is_sound():
+    """Whenever the end-slope rules prove a grid empty, the full step matrix finds
+    no feasible cell, and exact rational margins agree on sampled cells."""
+    rng = np.random.default_rng(2024)
+    seen = set()
+    exact_checked = 0
+    for _ in range(2000):
+        system, spec = _pruning_draw(rng)
+        cs = spec.axis1()
+        pq, gamma_s, gamma_c, curves = _scan_steps(system, cs)
+        if not search._provably_empty(pq, gamma_s, gamma_c, cs):
+            continue
+        step = dominance_matrix(*curves)
+        assert not (step & step.T).any(), (system, spec)
+        seen.add((
+            pq.shape[1],
+            pq.min() > 0.0,
+            max(system[2]) > 3.0,
+            system[3] == (0.0, 0.0),
+            spec.lo1 > 0.0,
+            spec.steps1 < 4,
+        ))
+        if exact_checked < 150:
+            i, j = rng.integers(len(cs), size=2)
+            states = [(cs[i], 1.0 - cs[i]), (cs[j], 1.0 - cs[j])]
+            assert exact_thermo_cycle_margin(*pq, gamma_s, gamma_c, states) < 0
+            exact_checked += 1
+    assert {key[0] for key in seen} == {2, 3, 4, 5, 6}
+    for field in range(1, 6):  # pruned with and without each case
+        assert {key[field] for key in seen} == {True, False}
+
+
+def test_end_slope_rules_prove_most_thermal_draws_empty():
+    """At least 60% of random d = 3 systems drawn as the benchmark draws them
+    are proven empty at 101²: 201 of these 300, while 210 are empty."""
+    rng = np.random.default_rng(300)
+    cs = np.linspace(0.0, 1.0, 101)
+    proven = 0
+    for _ in range(300):
+        pq, gamma_s, gamma_c, _ = _scan_steps(_thermal_draw(rng), cs)
+        proven += search._provably_empty(pq, gamma_s, gamma_c, cs)
+    assert proven >= 180
+
+
+def test_subnormal_composite_weight_proves_nothing():
+    """A subnormal Gibbs weight rounds by more than the rules' allowance covers."""
+    pq = np.array([(0.8, 0.1, 0.1), (0.1, 0.1, 0.8)])
+    cs = np.linspace(0.0, 1.0, 11)
+    for top, proven in ((2.0, True), (720.0, False)):
+        gamma_s = gibbs_vector((0.0, 1.0, top), 1.0).values
+        assert search._provably_empty(pq, gamma_s, (0.5, 0.5), cs) == proven
 
 
 @pytest.mark.parametrize("p", [(0.6, 0.4, 0.0), (0.5, 0.5, 0.0), (0.5, 0.3, 0.2)])
