@@ -10,7 +10,7 @@ run the same checks on the values they are given, but neither clamp nor
 renormalize them. A vector the package builds from values it has already
 checked, or that are valid by construction (sorts, tensor products), is made
 by _build, which checks nothing. Computed Gibbs weights go through _gibbs,
-which checks only that none has underflowed to 0.
+which checks only that none has underflowed below the normal float range.
 
 The value classes get their immutability, equality, hash and repr from
 _Frozen, not from dataclasses, whose import (with inspect and ast) would add
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
@@ -137,7 +138,10 @@ class SchmidtVec(ProbVec):
 
 
 class GibbsVec(ProbVec):
-    """ProbVec with strictly positive entries (a valid thermal reference), kept below CLAMP too."""
+    """ProbVec with entries that are normal positive floats (a valid thermal reference).
+
+    Entries below CLAMP are kept too; a subnormal one is rejected.
+    """
 
     def __init__(self, values: Iterable[float]) -> None:
         super().__init__(values)
@@ -158,12 +162,18 @@ def _check_sorted(vals: tuple[float, ...]) -> None:
 
 
 def _check_positive(vals: tuple[float, ...]) -> None:
-    if min(vals) <= 0.0:  # vals are finite and non-empty here
+    low = min(vals)  # vals are finite and non-empty here
+    if low <= 0.0:
         raise FlexcatError("reference distribution must be strictly positive")
+    if low < sys.float_info.min:  # a subnormal weight loses relative precision
+        raise FlexcatError(
+            f"reference weight {low!r} is subnormal (below {sys.float_info.min!r}),"
+            " too small for the thermo-majorization kernels"
+        )
 
 
 def _gibbs(weights: tuple[float, ...]) -> GibbsVec:
-    """A GibbsVec of normalized weights the package computed, once none has underflowed to 0."""
+    """A GibbsVec of normalized weights the package computed, once none has underflowed."""
     _check_positive(weights)
     return _build(GibbsVec, weights)
 

@@ -10,7 +10,10 @@ runs in one thread. The entanglement kernels loop over the 2d tail or
 prefix columns, updating one 2-D buffer per column; the thermal kernel is
 thermo.dominance_matrix, whose docstring describes it. A thermal 2-cycle
 scan first tries to prove its grid empty from the curves' end slopes
-(_provably_empty) and builds no curve when it can. Every entanglement
+(_provably_empty) and builds no curve, nor any states array, when it can.
+The rules are screened at the least slopes of each class of axis points
+(c = 0, c = 1 and the inside), found from a few axis entries; only a class
+that passes its screen is tested point by point. Every entanglement
 search builds its steps in _step_rows, zero-padded as the scalar API pads;
 the thermal scans build theirs in thermo._step_curves. The harness tests
 each trial's endpoint conditions, then the grid diagonal, and searches
@@ -44,7 +47,13 @@ from .probvec import (
     as_schmidt_vec,
     gibbs_vector,
 )
-from .thermo import _step_curves, _step_inputs, dominance_diagonal, dominance_matrix
+from .thermo import (
+    _pair_inputs,
+    _step_curves,
+    dominance_diagonal,
+    dominance_matrix,
+    gibbs_tensor,
+)
 
 
 @dataclass(frozen=True)
@@ -344,14 +353,37 @@ def _scan_inputs(
     levels_s: Sequence[float],
     levels_c: Sequence[float],
     beta: float,
-    cs: np.ndarray,
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[np.ndarray, np.ndarray, tuple[float, ...]]]:
-    """gamma_s, gamma_c and the _step_inputs of the steps p ⊗ (c_i, 1-c_i) → q ⊗ (c_j, 1-c_j)."""
+) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """pq, gamma_s, gamma_c and the composite reference of the steps p ⊗ c → q ⊗ c'.
+
+    Checks in _step_inputs' order. The states array, whose check cannot fail
+    for two catalyst levels, is left to the caller: a scan proven empty needs none.
+    """
     if len(levels_c) != 2:
         raise DimensionMismatch("catalyst parameterization needs exactly 2 levels")
-    states = np.stack([cs, 1.0 - cs], axis=1)
-    gamma_s, gamma_c = gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)
-    return gamma_s.values, gamma_c.values, _step_inputs(p, q, gamma_s, gamma_c, states, states)
+    pq, gs, gc = _pair_inputs(p, q, gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta))
+    return pq, gs.values, gc.values, gibbs_tensor(gs, gc).values
+
+
+def _least_alpha(inside: np.ndarray, g0: float, g1: float) -> float:
+    """The least max(c/g0, (1-c)/g1) over a non-decreasing axis of points in (0, 1).
+
+    c/g0 never falls and (1-c)/g1 never rises along the axis, also in floats,
+    so the least maximum lies on either side of the first point where c/g0 has
+    overtaken (1-c)/g1. That point is found by stepping from where exact
+    arithmetic puts it, c = g0/(g0 + g1); rounding moves it by a few points.
+    """
+
+    def over(i: int) -> bool:  # False, then True along the axis
+        c = inside.item(i)
+        return c / g0 >= (1.0 - c) / g1
+
+    k, n = int(inside.searchsorted(g0 / (g0 + g1))), len(inside)
+    while k < n and not over(k):
+        k += 1
+    while k and over(k - 1):
+        k -= 1
+    return min(max(c / g0, (1.0 - c) / g1) for c in inside[max(k - 1, 0) : k + 1].tolist())
 
 
 def _provably_empty(
@@ -359,7 +391,8 @@ def _provably_empty(
 ) -> bool:
     """True when no cell of the thermal 2-cycle grid on axis cs can be feasible.
 
-    pq holds the validated p and q; no curve is built. Cell (i, j) needs
+    pq holds the validated p and q and cs is a non-decreasing axis in [0, 1],
+    as GridSpec.axis1 makes it; no curve is built. Cell (i, j) needs
     A_i ≥ B_j - τ and A_j ≥ B_i - τ at the breakpoints of the B curve, where A_i
     and B_j are the Lorenz curves of p ⊗ (c_i, 1-c_i) and q ⊗ (c_j, 1-c_j)
     against gamma_s ⊗ (g0, g1) and τ = CURVE_TOL. Per axis point, let
@@ -385,34 +418,62 @@ def _provably_empty(
     A point is kept when, among the partners of some one support weight, the
     most lenient partner of each rule passes it: a superset of the points of
     feasible cells. τ gets an allowance for the few ulps by which the kernel's
-    sums and these products round. A subnormal weight rounds by more, so
-    then nothing is proven.
+    sums and these products round; validation rejects a subnormal composite
+    weight, which would round by more.
+
+    The points fall into at most three classes, c = 0 (α = σ = 1/g1),
+    c = 1 (α = σ = 1/g0) and the inside, and each rule's left side is a
+    float expression that does not decrease as α_i (R1) or σ_i (R2, R3)
+    grows: rounding is monotone, a' ≥ 0, and a factor b - a or a' - b' that
+    is not positive passes every point. So a class none of whose points
+    passes fails the rules at its least α and σ, and only a class that
+    passes there and holds points of different α (the inside) is tested
+    point by point. Inside, c/g0 never falls and (1-c)/g1 never rises along
+    the axis, so σ is least at the first or the last point and α where
+    _least_alpha finds it.
     """
     g0, g1 = gamma_c
     w = min(gamma_s) * min(g0, g1)
-    if w < np.finfo(float).tiny:
-        return False
-    tol = CURVE_TOL + 64 * (pq.shape[1] + 1) * np.finfo(float).eps
-    full = pq.min() > 0.0  # R2 and R3 need p and q of full support
-    ratios = pq / gamma_s
-    (a, b), (a1, b1) = ratios.max(axis=1), ratios.min(axis=1)
-    cat = np.stack([cs / g0, (1.0 - cs) / g1])
-    alpha = cat.max(axis=0)
-    sigma = np.where(cat > 0.0, cat, np.inf).min(axis=0)
-    support = np.where(cs == 0.0, g1, np.where(cs == 1.0, g0, 1.0))
-    kept = np.zeros(len(cs), dtype=bool)
-    for x in np.unique(support):
-        group = support == x
-        ok = (b - a) * (alpha + alpha[group].min()) <= 2 * tol / w  # R1
-        if full:
-            s = sigma[group].min()
-            ok &= np.where(
-                group,
-                (a1 - b1) * (sigma + s) <= 2 * tol / w,  # R2
-                a1 * np.where(support > x, sigma, s) * abs(support - x) <= tol,  # R3
-            )
-        kept |= ok
-    return not kept.any()
+    tol = CURVE_TOL + 64 * (pq.shape[1] + 1) * sys.float_info.epsilon
+    lim = 2 * tol / w
+    p, q = pq.tolist()
+    full = min(p + q) > 0.0  # R2 and R3 need p and q of full support
+    rp, rq = ([v / g for v, g in zip(vals, gamma_s)] for vals in (p, q))
+    a, b, a1, b1 = max(rp), max(rq), min(rp), min(rq)
+
+    def passes(alpha, sigma, support, x, amin, s):
+        """The rules for points of the given support against the partners of weight x."""
+        ok = (b - a) * (alpha + amin) <= lim  # R1
+        if full and support == x:
+            ok &= (a1 - b1) * (sigma + s) <= lim  # R2
+        elif full:
+            ok &= a1 * (sigma if support > x else s) * abs(support - x) <= tol  # R3
+        return ok
+
+    start, stop = cs.searchsorted((math.ulp(0.0), 1.0)).tolist()  # c = 0 before start, 1 from stop
+    inside = cs[start:stop]
+    classes = []  # (support weight, least α, least σ, the inside's points or None)
+    if start:
+        classes.append((g1, 1.0 / g1, 1.0 / g1, None))
+    if stop < len(cs):
+        classes.append((g0, 1.0 / g0, 1.0 / g0, None))
+    if len(inside):
+        ends = (inside.item(0) / g0, (1.0 - inside.item(-1)) / g1)
+        classes.append((1.0, _least_alpha(inside, g0, g1), min(ends), inside))
+    groups = {}  # support weight: least α and σ of its points
+    for x, alpha, sigma, _ in classes:
+        amin, s = groups.get(x, (alpha, sigma))
+        groups[x] = (min(amin, alpha), min(s, sigma))
+    for x, (amin, s) in groups.items():
+        for support, alpha, sigma, points in classes:
+            if not passes(alpha, sigma, support, x, amin, s):
+                continue
+            if points is None:
+                return False
+            u, v = points / g0, (1.0 - points) / g1
+            if passes(np.maximum(u, v), np.minimum(u, v), support, x, amin, s).any():
+                return False
+    return True
 
 
 def scan_thermo_feasibility(
@@ -429,11 +490,11 @@ def scan_thermo_feasibility(
     """
     _check_weight_range(spec, 1.0, "makes a negative population")
     cs = spec.axis1()
-    gamma_s, gamma_c, inputs = _scan_inputs(p, q, levels_s, levels_c, beta, cs)
-    if _provably_empty(inputs[0], gamma_s, gamma_c, cs):
+    pq, gamma_s, gamma_c, gamma = _scan_inputs(p, q, levels_s, levels_c, beta)
+    if _provably_empty(pq, gamma_s, gamma_c, cs):
         return LandscapeGrid(spec, np.zeros((len(cs), len(cs)), dtype=bool), "feasibility")
-    step = dominance_matrix(*_step_curves(*inputs))
-    step &= step.T  # numpy buffers the overlapping operand; no second bool grid stays alive
+    step = dominance_matrix(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma))
+    step = step & step.T  # a new grid: ANDing in place makes numpy buffer the overlapping operand
     return LandscapeGrid(spec, step, "feasibility")
 
 
@@ -450,7 +511,8 @@ def scan_thermo_standard(
     Returns a boolean vector over c = linspace(0, 1, num).
     """
     cs = GridSpec(0.0, 1.0, 0.0, 1.0, num, num).axis1()  # GridSpec's rule: num >= 2
-    return dominance_diagonal(*_step_curves(*_scan_inputs(p, q, levels_s, levels_c, beta, cs)[2]))
+    pq, _, _, gamma = _scan_inputs(p, q, levels_s, levels_c, beta)
+    return dominance_diagonal(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 GibbsVec and gibbs_vector live in probvec, which needs no numpy, and are
 re-exported here.
 
-A state p is compared against q relative to a strictly positive reference
-distribution gamma. Sorting the ratios p_i/gamma_i non-increasingly and
-accumulating (gamma, p) mass yields a concave piecewise-linear curve; p
-thermo-majorizes q iff p's curve dominates q's everywhere.
+A state p is compared against q relative to a reference distribution gamma
+whose weights are positive normal floats (probvec rejects a subnormal one,
+which keeps too few significant bits for the slopes below). Sorting the
+ratios p_i/gamma_i non-increasingly and accumulating (gamma, p) mass yields
+a concave piecewise-linear curve; p thermo-majorizes q iff p's curve
+dominates q's everywhere.
 
 Every dominance check, single or batched, evaluates the dominating curve at
 the dominated curve's breakpoints, interpolating on the segment that holds
@@ -14,8 +16,9 @@ each point, with slack CURVE_TOL (each value sums up to d rounded products).
 A segment of zero width in floats (a Gibbs weight below about e^-37) never
 holds a point; a narrow one's slope, rounded by up to ulp/width, is never
 extended past its ends. Every catalysed check, thermo_flexible_ok and the
-thermal scans in search, validates its inputs in _step_inputs and builds its
-step curves in _step_curves.
+thermal scans in search, validates its inputs in _step_inputs (the scans, which
+need no states array to try their end-slope rules, in _pair_inputs) and builds
+its step curves in _step_curves.
 
 The all-pairs kernel dominance_matrix makes the same comparisons in bulk;
 its docstring says how.
@@ -150,6 +153,18 @@ def _tensor_rows(v: np.ndarray, states: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, v.shape[-1] * states.shape[-1])
 
 
+def _pair_inputs(
+    p: ProbVec | Sequence[float],
+    q: ProbVec | Sequence[float],
+    gamma_s: ProbVec | Sequence[float],
+    gamma_c: ProbVec | Sequence[float],
+) -> tuple[np.ndarray, GibbsVec, GibbsVec]:
+    """p and q as a validated (2, d) array, with the references, checked in turn from gamma_s."""
+    gs, gc = as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)
+    vp, vq = (_same_dim(as_prob_vec(v), gs) for v in (p, q))
+    return np.array([vp.values, vq.values]), gs, gc
+
+
 def _step_inputs(
     p: ProbVec | Sequence[float],
     q: ProbVec | Sequence[float],
@@ -163,12 +178,11 @@ def _step_inputs(
     Returns p and q as a (2, d) array, src and dst as a (2, m, k) array and
     the composite reference, checking each in that order.
     """
-    gs, gc = as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)
-    vp, vq = (_same_dim(as_prob_vec(v), gs) for v in (p, q))
+    pq, gs, gc = _pair_inputs(p, q, gamma_s, gamma_c)
     states = np.array([src, dst], dtype=float)  # (2, m, k): src's rows, then dst's
     if states.shape[2] != gc.dim:
         raise DimensionMismatch("cycle states and catalyst reference must share dimension")
-    return np.array([vp.values, vq.values]), states, gibbs_tensor(gs, gc).values
+    return pq, states, gibbs_tensor(gs, gc).values
 
 
 def _step_curves(
@@ -176,10 +190,11 @@ def _step_curves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lorenz breakpoints (xa, ya, xb, yb) of the steps that _step_inputs validated.
 
-    All rows take one batch call.
+    states is (2, m, k), src's rows then dst's, or one (m, k) array that src
+    and dst share. All rows take one batch call.
     """
     x, y = lorenz_breakpoints_batch(_tensor_rows(pq, states), gamma)
-    m = states.shape[1]
+    m = len(x) // 2
     return x[:m], y[:m], x[m:], y[m:]
 
 

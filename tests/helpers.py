@@ -31,6 +31,7 @@ from flexcat import (
     vidal_probability,
     violation_indices,
 )
+from flexcat.probvec import CURVE_TOL
 from flexcat.search import _majorization_matrix, _sample_incomparable, _step_rows, _weight_axis
 
 # frozen instance data used across the suite
@@ -142,6 +143,41 @@ def exact_thermo_cycle_margin(p_vals, q_vals, g_s, g_c, states) -> Fraction:
         )
         for i in range(n)
     )
+
+
+# ---------------------------------------------------------------------------
+# frozen reference of search._provably_empty
+# ---------------------------------------------------------------------------
+
+
+def ref_provably_empty(pq, gamma_s, gamma_c, cs) -> bool:
+    """search._provably_empty as it was before its class-minimum screen: every rule
+    evaluated at every axis point, once per support weight."""
+    g0, g1 = gamma_c
+    w = min(gamma_s) * min(g0, g1)
+    if w < np.finfo(float).tiny:
+        return False
+    tol = CURVE_TOL + 64 * (pq.shape[1] + 1) * np.finfo(float).eps
+    full = pq.min() > 0.0  # R2 and R3 need p and q of full support
+    ratios = pq / gamma_s
+    (a, b), (a1, b1) = ratios.max(axis=1), ratios.min(axis=1)
+    cat = np.stack([cs / g0, (1.0 - cs) / g1])
+    alpha = cat.max(axis=0)
+    sigma = np.where(cat > 0.0, cat, np.inf).min(axis=0)
+    support = np.where(cs == 0.0, g1, np.where(cs == 1.0, g0, 1.0))
+    kept = np.zeros(len(cs), dtype=bool)
+    for x in np.unique(support):
+        group = support == x
+        ok = (b - a) * (alpha + alpha[group].min()) <= 2 * tol / w  # R1
+        if full:
+            s = sigma[group].min()
+            ok &= np.where(
+                group,
+                (a1 - b1) * (sigma + s) <= 2 * tol / w,  # R2
+                a1 * np.where(support > x, sigma, s) * abs(support - x) <= tol,  # R3
+            )
+        kept |= ok
+    return not kept.any()
 
 
 # ---------------------------------------------------------------------------

@@ -1010,6 +1010,19 @@ def test_underflowing_composite_gibbs_weight_exits_one(capsys):
         assert captured.err == "error: reference distribution must be strictly positive\n"
 
 
+def test_subnormal_gibbs_weight_exits_one(capsys):
+    # e^-720 is subnormal: a system reference, or a composite one of normal factors
+    fig2 = ["--x", "0.5,0.3,0.2", "--y", "0.6,0.3,0.1", "--beta", "1", "--json"]
+    for levels in (["--levels-s", "0,1,720", "--levels-c", "0,1"],
+                   ["--levels-s", "0,1,360", "--levels-c", "0,360"]):
+        assert run(["scan-fig2", *fig2, *levels]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: reference weight ")
+        assert "is subnormal" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

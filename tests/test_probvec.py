@@ -6,6 +6,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +286,11 @@ def test_package_built_vectors_stay_valid_types():
     assert type(uniform(3)) is SchmidtVec and uniform(3) == SchmidtVec((1 / 3,) * 3)
     with pytest.raises(FlexcatError, match="strictly positive"):
         gibbs_vector((0.0, 2000.0), 1.0)  # exp(-2000) underflows to 0
+    with pytest.raises(FlexcatError, match=r"reference weight 2\.03\d*e-313 is subnormal"):
+        gibbs_vector((0.0, 720.0), 1.0)  # exp(-720) is below the normal float range
+    assert min(gibbs_vector((0.0, 700.0), 1.0).values) >= sys.float_info.min
+    with pytest.raises(FlexcatError, match="is subnormal"):
+        GibbsVec((1.0, 5e-324))
 
 
 # The parent's make_prob_vec and constructor bodies, kept as the slow reference
@@ -320,6 +326,11 @@ def _ref_sorted(vals):
 def _ref_positive(vals):
     if any(v <= 0.0 for v in vals):
         raise FlexcatError("reference distribution must be strictly positive")
+    if any(v < sys.float_info.min for v in vals):
+        raise FlexcatError(
+            f"reference weight {min(vals)!r} is subnormal (below {sys.float_info.min!r}),"
+            " too small for the thermo-majorization kernels"
+        )
     return vals
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -350,15 +351,23 @@ def test_each_scan_builds_one_step_matrix(monkeypatch):
 
 
 def test_thermal_scan_returns_its_step_matrix(monkeypatch):
-    """The bool grid that the step matrix is ANDed into is returned without a copy."""
+    """The grid is M & M.T for the step matrix M, and no second grid outlives the scan:
+    M is freed or is the grid itself."""
     made = []
     kernel = search.dominance_matrix
-    monkeypatch.setattr(search, "dominance_matrix", lambda *args: made.append(kernel(*args)) or made[0])
+
+    def step_matrix(*args):
+        step = kernel(*args)
+        made.append((step.copy(), weakref.ref(step)))
+        return step
+
+    monkeypatch.setattr(search, "dominance_matrix", step_matrix)
     grid = scan_thermo_feasibility(
         THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA, GridSpec(0.0, 1.0, 0.0, 1.0, 31, 31)
     )
-    assert grid.values is made[0]
-    assert np.array_equal(grid.values, grid.values.T)
+    (step, alive), = made
+    assert np.array_equal(grid.values, step & step.T)
+    assert alive() is None or alive() is grid.values
 
 
 THERMO_CYCLE = Cycle((make_prob_vec(THERMO_C1), make_prob_vec(THERMO_C2)))

@@ -50,6 +50,7 @@ from helpers import (
     exact_thermo_cycle_margin,
     exact_thermo_margin,
     random_prob,
+    ref_provably_empty,
     suite_uniform_gamma_thermo,
 )
 
@@ -691,8 +692,8 @@ def _assert_mutual_dominance(curves) -> bool:
 
 def _scan_steps(system, cs):
     """(pq, gamma_s, gamma_c, curves) of the thermal scan of system on axis cs."""
-    gamma_s, gamma_c, inputs = search._scan_inputs(*system, cs)
-    return inputs[0], gamma_s, gamma_c, _step_curves(*inputs)
+    pq, gamma_s, gamma_c, gamma = search._scan_inputs(*system)
+    return pq, gamma_s, gamma_c, _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
 
 
 def _thermal_draw(rng):
@@ -832,13 +833,88 @@ def test_end_slope_rules_prove_most_thermal_draws_empty():
     assert proven >= 180
 
 
-def test_subnormal_composite_weight_proves_nothing():
-    """A subnormal Gibbs weight rounds by more than the rules' allowance covers."""
-    pq = np.array([(0.8, 0.1, 0.1), (0.1, 0.1, 0.8)])
-    cs = np.linspace(0.0, 1.0, 11)
-    for top, proven in ((2.0, True), (720.0, False)):
-        gamma_s = gibbs_vector((0.0, 1.0, top), 1.0).values
-        assert search._provably_empty(pq, gamma_s, (0.5, 0.5), cs) == proven
+def _equivalence_axes():
+    """Axes with both ends, neither end, 2 points, and repeated zero points."""
+    repeated = GridSpec(0.0, 5e-324, 0.0, 5e-324, 3, 3).axis1()
+    assert repeated.tolist() == [0.0, 0.0, 5e-324]
+    spans = ((0, 1, 1001), (0.2, 0.7, 31), (0, 0.5, 51), (0, 1, 2))
+    return [np.linspace(*span) for span in spans] + [repeated]
+
+
+def _near_tie_system():
+    """p, the Gibbs state of levels (0, 1, 2, 3), and q, whose largest and least
+    ratios to it lie about 6e-9 above and below 1. With catalyst levels (0, 0) the
+    inside passes R1 at its least α and R2 at its least σ, but no point passes both."""
+    levels_s = (0.0, 1.0, 2.0, 3.0)
+    p = gibbs_vector(levels_s, 1.0).values
+    q = [v * r for v, r in zip(p, (1 + 6.1e-9, 1.0, 1.0, 1 - 6.3e-9))]
+    q[1] += 1.0 - math.fsum(q)
+    return p, tuple(q), levels_s
+
+
+def test_end_slope_screen_matches_frozen_reference():
+    """_provably_empty gives the frozen every-point reference's verdict on seeded
+    draws and on systems whose point classes merge, vanish or repeat."""
+    assert gibbs_vector((0.0, -40.0), 1.0).values[1] == 1.0  # c = 0 joins the inside
+    assert gibbs_vector((0.0, 40.0), 1.0).values[0] == 1.0  # c = 1 joins the inside
+    axes = _equivalence_axes()
+    verdicts = {}
+    pairs = ((THERMO_P, THERMO_Q), ((0.6652, 0.2447, 0.0901), (0.1, 0.2, 0.7)),
+             ((0.7, 0.3, 0.0), (0.5, 0.3, 0.2)), ((0.5, 0.3, 0.2), (0.6, 0.4, 0.0)))
+    systems = [(p, q, LEVELS_S) for p, q in pairs] + [_near_tie_system()]
+    for p, q, levels_s in systems:
+        for levels_c in ((0.0, 1.0), (0.0, 0.0), (0.0, -40.0), (0.0, 40.0)):
+            pq, gamma_s, gamma_c, _ = search._scan_inputs(p, q, levels_s, levels_c, 1.0)
+            for cs in axes:
+                got = search._provably_empty(pq, gamma_s, gamma_c, cs)
+                assert got == ref_provably_empty(pq, gamma_s, gamma_c, cs), (p, q, levels_c, cs)
+                verdicts[got] = verdicts.get(got, 0) + 1
+    rng = np.random.default_rng(25)
+    for draw in range(5000):
+        system, spec = _pruning_draw(rng)
+        if draw % 10 == 0:
+            system = (*system[:3], ((0.0, -40.0), (0.0, 40.0))[draw % 20 // 10], system[4])
+        cs = spec.axis1() if draw % 5 else axes[draw // 5 % len(axes)]
+        pq, gamma_s, gamma_c, _ = search._scan_inputs(*system)
+        got = search._provably_empty(pq, gamma_s, gamma_c, cs)
+        assert got == ref_provably_empty(pq, gamma_s, gamma_c, cs), (system, cs)
+        verdicts[got] = verdicts.get(got, 0) + 1
+    assert min(verdicts[True], verdicts[False]) > 1000
+    pq, gamma_s, gamma_c, _ = search._scan_inputs(*_near_tie_system(), (0.0, 0.0), 1.0)
+    assert search._provably_empty(pq, gamma_s, gamma_c, axes[0])  # decided point by point
+
+
+def test_least_alpha_matches_every_point_minimum():
+    """On axes a few ulps wide around the crossing g0/(g0 + g1), where rounding moves
+    the first point with c/g0 >= (1-c)/g1, and on wide ones."""
+    rng = np.random.default_rng(26)
+    moved = 0
+    for _ in range(3000):
+        g0, g1 = gibbs_vector((0.0, float(rng.uniform(-3.0, 3.0))), 1.0).values
+        mid = g0 / (g0 + g1)
+        span = float(rng.choice([1e-16, 1e-15, 1e-13, 0.3]))
+        ends = max(mid - span, 1e-300), min(mid + span, 1.0 - 1e-16)
+        inside = np.linspace(*ends, rng.choice([2, 3, 7, 50]))
+        u, v = inside / g0, (1.0 - inside) / g1
+        assert search._least_alpha(inside, g0, g1) == np.maximum(u, v).min()
+        moved += int(np.argmax(np.r_[u >= v, True])) != inside.searchsorted(mid)
+    assert moved > 100
+
+
+def test_subnormal_gibbs_weight_is_rejected():
+    """A subnormal weight, of the system's reference or only of the composite one,
+    rounds by more than the end-slope rules allow for, so no scan reaches them."""
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11)
+    for levels_s, levels_c in (((0.0, 1.0, 720.0), (0.0, 1.0)), ((0.0, 1.0, 360.0), (0.0, 360.0))):
+        with pytest.raises(FlexcatError, match="is subnormal"):
+            scan_thermo_feasibility(TINY_X, TINY_Y, levels_s, levels_c, 1.0, spec)
+    for gamma in (lambda: gibbs_vector((0.0, 1.0, 720.0), 1.0), lambda: (0.6, 0.4, 1e-313)):
+        with pytest.raises(FlexcatError, match="is subnormal"):
+            thermo_majorizes(TINY_X, TINY_X, gamma())
+    # e^-360 is a normal float; its square, the composite weight, is not
+    gs, gc = gibbs_vector((0.0, 1.0, 360.0), 1.0), gibbs_vector((0.0, 360.0), 1.0)
+    with pytest.raises(FlexcatError, match="is subnormal"):
+        gibbs_tensor(gs, gc)
 
 
 @pytest.mark.parametrize("p", [(0.6, 0.4, 0.0), (0.5, 0.5, 0.0), (0.5, 0.3, 0.2)])
