@@ -47,6 +47,7 @@ from .majorize import (
 )
 from .probvec import (
     ENT_GRID_STEPS,
+    FORMAT_TIE_BAND,
     THERMO_GRID_STEPS,
     Cycle,
     ProbVec,
@@ -57,6 +58,8 @@ from .probvec import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .search import GridSpec, LandscapeGrid
 
 INSTANCE_KEYS = {"x", "y", "levels_s", "levels_c", "beta", "cycle"}
@@ -216,73 +219,127 @@ def _grid_spec(args: argparse.Namespace, default: GridSpec) -> GridSpec:
 # Bytes of NUL-padded fields per CSV write: about 24 rows of a 401-point axis.
 _CSV_BLOCK_BYTES = 1 << 18
 
+# Byte columns of b"0.000000," that hold the digits of k = round(v * 10**6),
+# from the last digit to the first: column 0 gets k // 10**6, 0 or 1.
+_FIXED6_DIGIT_COLUMNS = (7, 6, 5, 4, 3, 2, 0)
+
+
+def _fixed6(values: np.ndarray, end: bytes) -> np.ndarray:
+    """f"{v:.6f}" + end for each entry of a float64 array, as an S array at
+    least 9 bytes wide whose shorter fields are padded with NUL.
+
+    A v in [0, 1] whose sign bit is clear is written from the decimal digits
+    of k = rint(v * 1e6), an integer up to 10**6. The product is within
+    0.5 ulp(1e6) < 6e-11 of the exact v * 10**6, so it rounds to the same k
+    as the f-string, which rounds the exact value half to even, unless it
+    lies within FORMAT_TIE_BAND of a .5 tie. Those values, -0.0, and every
+    value outside [0, 1] (NaN and inf too) are formatted by the f-string.
+    """
+    import numpy as np
+
+    fast = (values >= 0.0) & (values <= 1.0) & ~np.signbit(values)  # NaN fails both bounds
+    scaled = np.where(fast, values, 0.0) * 1e6
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) > FORMAT_TIE_BAND
+    slow = [f"{v:.6f}".encode() + end for v in values[~fast].tolist()]
+    width = max([9, *map(len, slow)])
+    fields = np.zeros((len(values), width), dtype=np.uint8)
+    k = np.rint(scaled).astype(np.uint32)
+    for column in _FIXED6_DIGIT_COLUMNS:
+        np.divmod(k, 10, out=(k, fields[:, column]))
+    fields[:, :9] += np.frombuffer(b"0.000000" + end, dtype=np.uint8)
+    if slow:
+        fields[~fast] = np.array(slow, dtype=f"S{width}").view(np.uint8).reshape(len(slow), width)
+    return fields.view(f"S{width}").ravel()
+
+
+def _span(fields: np.ndarray) -> tuple[slice, np.dtype]:
+    """The byte columns in which the rows of a (k, width) uint8 array differ,
+    as a slice widened to 1, 2, 4 or 8 columns when that fits (numpy moves
+    items of those sizes about four times faster than others), and the S
+    dtype of that width; column 0 alone when the rows are all equal."""
+    import numpy as np
+
+    width = fields.shape[1]
+    columns = np.ascontiguousarray(fields.T)  # numpy reduces rows faster than columns
+    varying = np.flatnonzero(columns.min(axis=1) != columns.max(axis=1))
+    lo, hi = (int(varying[0]), int(varying[-1]) + 1) if len(varying) else (0, 1)
+    size = next((s for s in (1, 2, 4, 8) if s >= hi - lo), width)
+    lo = min(lo, width - size)
+    return slice(lo, lo + size), np.dtype(f"S{size}")
+
 
 def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
     """Write the grid to the binary file out as `c1,c2,value` rows of ASCII
     bytes, in row-major order, 6 decimals.
 
-    Each axis point and each distinct value is formatted once, as a
-    fixed-width bytes field padded with NUL. Grid rows are assembled in
+    Each axis point and each distinct value is formatted once by _fixed6,
+    as a fixed-width bytes field padded with NUL. Grid rows are assembled in
     blocks, in one reused (rows, n, 3) array of fields of about
     _CSV_BLOCK_BYTES (at least one row), and each block is written at once
     with the padding dropped, so fields of unequal width come out right.
     When every field fills its width (the usual case: all axis points and
     values in [0, 10), none negative), nothing is padded and each block's
     own buffer is written, with no copy.
-    The value texts differ only in a span of byte columns (1 byte for a
-    feasibility grid: 0.000000 and 1.000000; none when the grid has one
-    value). The other bytes are filled once per export, and each block
-    fills only the span, taken from a table of each value's span bytes.
-    The span is widened to 1, 2, 4 or 8 bytes, which numpy moves about four
-    times faster than other sizes; a field is at least 9 bytes wide.
+    The axis texts differ only in a span of byte columns (see _span), and so
+    do the value texts (1 byte for a feasibility grid: 0.000000 and
+    1.000000; none when the grid has one value). The other bytes are the
+    same in every grid row: the block's first row is built and copied into
+    its other rows once per export. Each block fills only the two spans, each
+    through a contiguous (rows, n) stage that is then copied into the block:
+    numpy fills the stage and copies it into the strided block faster than
+    it fills the block directly. The c1 stage is a broadcast of each row's
+    span bytes; the value stage takes each cell's from a table with one item
+    per distinct value.
     Values are told apart by their bit pattern, read as unsigned ints of the
     cells' own width (8 bytes for a float64 grid, 1 for a bool one), so -0.0
     keeps its own text ("-0.000000") instead of merging with 0.0, and a bool
-    cell prints as 0.000000 or 1.000000. A bool grid's distinct patterns
-    are the values from its min to its max; a float grid's come from a sort
-    and a neighbour mask, not from numpy's unique, whose hash path is about
-    ten times slower on a large grid, and are looked up by binary search.
+    cell prints as 0.000000 or 1.000000. A float grid's distinct patterns
+    come from a sort and a neighbour mask, not from numpy's unique, whose
+    hash path is about ten times slower on a large grid, and each cell's is
+    found by binary search. A bool grid's are the values from its min to its
+    max, and when it holds both, a cell's span byte is "0" plus its pattern.
     """
     import numpy as np
 
     vals = grid.values
     bits = vals.view(f"u{vals.itemsize}")
-    axis = [f"{v:.6f},".encode() for v in grid.spec.axis1().tolist()]
     if vals.dtype == bool:  # numpy sorts uint8 about 15 times slower than uint64
         distinct = np.arange(bits.min(), bits.max() + 1, dtype=bits.dtype)
     else:
         ordered = np.sort(bits, axis=None)
         distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    text = [f"{v:.6f}\n".encode() for v in distinct.view(vals.dtype).tolist()]
-    widths = set(map(len, axis + text))
-    padded = len(widths) > 1  # else every field fills its width
-    width = max(widths)
-    field = np.dtype(f"S{width}")
-    axis = np.array(axis, dtype=field)
-    text = np.array(text, dtype=field)
-    text_bytes = text.view(np.uint8).reshape(len(text), width)
-    columns = np.ascontiguousarray(text_bytes.T)  # numpy reduces rows faster than columns
-    varying = np.flatnonzero(columns.min(axis=1) != columns.max(axis=1))
-    lo, hi = (varying[0], varying[-1] + 1) if len(varying) else (0, 1)
-    size = next((s for s in (1, 2, 4, 8) if s >= hi - lo), width)
-    lo = min(lo, width - size)
-    span = np.dtype(f"S{size}")
-    table = text_bytes[:, lo : lo + size].view(span).ravel()  # a copy, one item a row
+        del ordered  # 8 bytes a cell, not needed past this point
+    axis = _fixed6(grid.spec.axis1(), b",")
+    text = _fixed6(distinct.view(vals.dtype).astype(float, copy=False), b"\n")
+    width = max(axis.itemsize, text.itemsize)
+    axis, text = (
+        f.astype(f"S{width}", copy=False).view(np.uint8).reshape(len(f), width) for f in (axis, text)
+    )
+    padded = not (axis[:, -1].all() and text[:, -1].all())  # else every field fills its width
     n = len(axis)
-    rows = max(1, min(n, _CSV_BLOCK_BYTES // (3 * n * field.itemsize)))
-    cells = np.empty((rows, n, 3), dtype=field)
-    cells[:, :, 1] = axis  # both weights share one axis
-    cells[:, :, 2] = text[0]
-    varied = cells.view(np.uint8)[:, :, 2 * width + lo : 2 * width + lo + size].view(span)[:, :, 0]
+    rows = max(1, min(n, _CSV_BLOCK_BYTES // (3 * n * width)))
+    cells = np.empty((rows, n, 3, width), dtype=np.uint8)
+    cells[0, :, 0], cells[0, :, 1], cells[0, :, 2] = axis[0], axis, text[0]  # one axis for c1 and c2
+    cells[1:] = cells[0]  # the bytes outside the spans are the same in every grid row
+    (c1_cols, c1_span), (value_cols, value_span) = _span(axis), _span(text)
+    c1_block = cells[:, :, 0, c1_cols].view(c1_span)[:, :, 0]
+    value_block = cells[:, :, 2, value_cols].view(value_span)[:, :, 0]
+    c1_stage, value_stage = np.empty((rows, n), dtype=c1_span), np.empty((rows, n), dtype=value_span)
+    c1_table = axis[:, c1_cols].view(c1_span).ravel()  # one item a text
+    value_table = text[:, value_cols].view(value_span).ravel()
     out.write(b"c1,c2,value\n")
     for start in range(0, n, rows):
-        block = cells[: n - start]  # the last block may be partial
-        block[:, :, 0] = axis[start : start + rows, None]
+        m = min(rows, n - start)  # the last block may be partial
+        c1_stage[:m] = c1_table[start : start + m, None]
+        c1_block[:m] = c1_stage[:m]
         if len(text) > 1:
-            cell_bits = bits[start : start + rows]
-            # a bool grid of two values has the patterns 0 and 1: each is its own index
-            index = cell_bits if vals.dtype == bool else np.searchsorted(distinct, cell_bits)
-            varied[: len(block)] = table.take(index)
+            cell_bits = bits[start : start + m]
+            if vals.dtype == bool:  # the span of 0.000000 and 1.000000 is "0" plus the pattern
+                np.add(cell_bits, ord("0"), out=value_stage[:m].view(np.uint8))
+            else:  # mode "raise" would buffer out
+                value_table.take(np.searchsorted(distinct, cell_bits), out=value_stage[:m], mode="clip")
+            value_block[:m] = value_stage[:m]
+        block = cells[:m]
         out.write(block.tobytes().replace(b"\0", b"") if padded else block)
 
 

@@ -50,6 +50,12 @@ CLAMP = 1e-15
 CURVE_TOL = 1e-10  # slack of Lorenz-curve dominance, toward acceptance
 RATIO_TOL = 1e-10  # slack of strict ratio inequalities, toward acceptance
 PARAM_PRECISION = 1e-6  # the optimizers stop once their step falls below it
+# search._provably_empty's allowance for the rounding of the kernel's sums and
+# of its own products: EMPTY_GRID_ULPS * (d + 1) machine epsilons on top of
+# CURVE_TOL, for p and q of d entries.
+EMPTY_GRID_ULPS = 64
+# The CSV writer formats v * 1e6 within this of a .5 tie by the f-string, not rint.
+FORMAT_TIE_BAND = 1e-9
 
 # Default grid points per weight axis of the entanglement and thermal 2-cycle
 # landscapes. search builds its default grids from them; the CLI help names

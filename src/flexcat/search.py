@@ -37,6 +37,7 @@ from .majorize import _padded, _steps, incomparable, vidal_probability
 from .probvec import (
     CMP_TOL,
     CURVE_TOL,
+    EMPTY_GRID_ULPS,
     ENT_GRID_STEPS,
     PARAM_PRECISION,
     THERMO_GRID_STEPS,
@@ -434,7 +435,7 @@ def _provably_empty(
     """
     g0, g1 = gamma_c
     w = min(gamma_s) * min(g0, g1)
-    tol = CURVE_TOL + 64 * (pq.shape[1] + 1) * sys.float_info.epsilon
+    tol = CURVE_TOL + EMPTY_GRID_ULPS * (pq.shape[1] + 1) * sys.float_info.epsilon
     lim = 2 * tol / w
     p, q = pq.tolist()
     full = min(p + q) > 0.0  # R2 and R3 need p and q of full support

@@ -256,6 +256,16 @@ def _bool_grid(steps: int, fill: bool | None) -> LandscapeGrid:
     return LandscapeGrid(GridSpec(0, 1, 0, 1, steps, steps), cells, kind="feasibility")
 
 
+def _tie_values(count: int) -> np.ndarray:
+    """Seeded values in [0, 1] at a tie of the 7th decimal or near one, in random order:
+    the exact ties odd k / 128 (2**-7 among them), the floats nearest to `count` draws
+    of odd k / 2e6, and for each of these a float 1 to 3 ulps away; 2 * (64 + count) values."""
+    rng = np.random.default_rng(count)
+    ties = np.concatenate((np.arange(1, 128, 2) / 128, (2 * rng.integers(0, 10**6, count) + 1) / 2e6))
+    near = ties + rng.choice([-3, -2, -1, 1, 2, 3], len(ties)) * np.spacing(ties)
+    return rng.permutation(np.concatenate((ties, near)))
+
+
 # Fields of a grid on [0, 1] with values in [0, 1) are 9 bytes wide ("0.500000," and
 # "0.500000\n"), so a row of n cells fills 27 * n bytes of the block budget.
 @pytest.mark.parametrize(
@@ -321,11 +331,14 @@ def _bool_grid(steps: int, fill: bool | None) -> LandscapeGrid:
         # both values in the first block of 2 rows, and only False in the blocks after it
         (lambda: LandscapeGrid(GridSpec(0, 1, 0, 1, 5, 5), np.arange(25).reshape(5, 5) == 1,
                                kind="feasibility"), 2 * 27 * 5),
+        # f-string texts of values near a .5 tie among integer-formatted ones, in blocks of 3 rows
+        (lambda: LandscapeGrid(GridSpec(0, 1, 0, 1, 16, 16), _tie_values(64).reshape(16, 16),
+                               kind="probability"), 3 * 27 * 16),
     ],
     ids=["fig1-201", "fig1-range", "fig2-401", "fig2-1001", "partial-last-block", "row-over-budget",
          "signed-zeros", "wide-values", "all-distinct", "axis-2", "bool-all-false", "bool-all-true",
          "bool-asymmetric", "span-empty", "span-interior-byte", "span-first-last-digit",
-         "span-three-bytes", "span-padded-nul", "bool-first-block-only"],
+         "span-three-bytes", "span-padded-nul", "bool-first-block-only", "ties"],
 )
 def test_landscape_csv_matches_cell_loop(make_grid, block_bytes, monkeypatch):
     if block_bytes is not None:
@@ -334,6 +347,16 @@ def test_landscape_csv_matches_cell_loop(make_grid, block_bytes, monkeypatch):
     out = io.BytesIO()
     cli._write_landscape_csv(grid, out)
     assert out.getvalue() == _reference_csv(grid).encode("ascii")
+
+
+@pytest.mark.parametrize("end", [b",", b"\n"], ids=["comma", "newline"])
+def test_fixed6_matches_fstring(end):
+    """The integer formatter gives the f-string's text at and near ties, at the ends of
+    [0, 1], for a signed zero, and past [0, 1], where it falls back to the f-string."""
+    special = [0.0, 1.0, -0.0, 1e-13, -1e-13, 1 + 1e-12, 1e6, math.nan, math.inf, -math.inf, 5e-324]
+    rng = np.random.default_rng(2026)
+    values = np.concatenate((_tie_values(4000), special, rng.random(4000), 1 + 9 * rng.random(200)))
+    assert cli._fixed6(values, end).tolist() == [f"{v:.6f}".encode() + end for v in values.tolist()]
 
 
 def _reference_pgm(grid: LandscapeGrid) -> bytes:
@@ -508,6 +531,15 @@ def test_fig1_export_matches_pinned_hashes(tmp_path):
     assert _export_digests(tmp_path, ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y]) == (
         "a5de9af9c704d92895de3bc67811ebf68d9266ba78a21dcd94a33a77df6160b8",
         "04d8363b5770a346efe10585c0914651721d311ef39b6ba1b0eb4046430f8830",
+    )
+
+
+def test_fig1_range_export_matches_pinned_hashes(tmp_path):
+    # 39,444 distinct values, pinned while each was formatted by an f-string
+    argv = ["scan-fig1", "--x", DEMO_X, "--y", DEMO_Y, "--range", "0.1:0.4", "--grid", "401"]
+    assert _export_digests(tmp_path, argv) == (
+        "cd44bad0e5afbc8f36bff8fde0514502778141dd8309779474dda0393d617c16",
+        "74f295c38c3aee2fd759c7a47c5bc6bbeb712e9a6e9210359086abc9361381a9",
     )
 
 
