@@ -357,7 +357,7 @@ def _scan_inputs(
 ) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     """pq, gamma_s, gamma_c and the composite reference of the steps p ⊗ c → q ⊗ c'.
 
-    Checks in _step_inputs' order. The states array, whose check cannot fail
+    Checks in thermo_flexible_ok's order. The states array, whose check cannot fail
     for two catalyst levels, is left to the caller: a scan proven empty needs none.
     """
     if len(levels_c) != 2:

@@ -16,9 +16,8 @@ each point, with slack CURVE_TOL (each value sums up to d rounded products).
 A segment of zero width in floats (a Gibbs weight below about e^-37) never
 holds a point; a narrow one's slope, rounded by up to ulp/width, is never
 extended past its ends. Every catalysed check, thermo_flexible_ok and the
-thermal scans in search, validates its inputs in _step_inputs (the scans, which
-need no states array to try their end-slope rules, in _pair_inputs) and builds
-its step curves in _step_curves.
+thermal scans in search, validates p, q and both references in _pair_inputs and
+builds its step curves in _step_curves.
 
 The all-pairs kernel dominance_matrix makes the same comparisons in bulk;
 its docstring says how.
@@ -165,33 +164,13 @@ def _pair_inputs(
     return np.array([vp.values, vq.values]), gs, gc
 
 
-def _step_inputs(
-    p: ProbVec | Sequence[float],
-    q: ProbVec | Sequence[float],
-    gamma_s: ProbVec | Sequence[float],
-    gamma_c: ProbVec | Sequence[float],
-    src: np.ndarray | Sequence[Sequence[float]],
-    dst: np.ndarray | Sequence[Sequence[float]],
-) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Validated inputs of the catalysed steps p ⊗ src[i] → q ⊗ dst[i], for _step_curves.
-
-    Returns p and q as a (2, d) array, src and dst as a (2, m, k) array and
-    the composite reference, checking each in that order.
-    """
-    pq, gs, gc = _pair_inputs(p, q, gamma_s, gamma_c)
-    states = np.array([src, dst], dtype=float)  # (2, m, k): src's rows, then dst's
-    if states.shape[2] != gc.dim:
-        raise DimensionMismatch("cycle states and catalyst reference must share dimension")
-    return pq, states, gibbs_tensor(gs, gc).values
-
-
 def _step_curves(
     pq: np.ndarray, states: np.ndarray, gamma: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lorenz breakpoints (xa, ya, xb, yb) of the steps that _step_inputs validated.
+    """Lorenz breakpoints (xa, ya, xb, yb) of the validated steps p ⊗ src[i] → q ⊗ dst[i].
 
-    states is (2, m, k), src's rows then dst's, or one (m, k) array that src
-    and dst share. All rows take one batch call.
+    pq holds p and q; states is (2, m, k), src's rows then dst's, or one
+    (m, k) array that src and dst share. All rows take one batch call.
     """
     x, y = lorenz_breakpoints_batch(_tensor_rows(pq, states), gamma)
     m = len(x) // 2
@@ -210,9 +189,12 @@ def thermo_flexible_ok(
     Catalyst states are plain distributions indexed by energy level; the
     ratio order relative to gamma_c, not the magnitude order, is what counts.
     """
-    states = [c.values for c in cycle.states]
-    inputs = _step_inputs(p, q, gamma_s, gamma_c, states, states[1:] + states[:1])
-    xa, ya, xb, yb = _step_curves(*inputs)
+    pq, gs, gc = _pair_inputs(p, q, gamma_s, gamma_c)
+    src = [c.values for c in cycle.states]
+    states = np.array([src, src[1:] + src[:1]], dtype=float)  # (2, m, k): src's rows, then dst's
+    if states.shape[2] != gc.dim:
+        raise DimensionMismatch("cycle states and catalyst reference must share dimension")
+    xa, ya, xb, yb = _step_curves(pq, states, gibbs_tensor(gs, gc).values)
     return bool(dominance_diagonal(xa, ya, xb, yb).all())
 
 

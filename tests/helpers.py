@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from flexcat import (
     vidal_probability,
     violation_indices,
 )
-from flexcat.probvec import CURVE_TOL
 from flexcat.search import _majorization_matrix, _sample_incomparable, _step_rows, _weight_axis
 
 # frozen instance data used across the suite
@@ -98,15 +98,17 @@ def oracle_standard_catalysis(x_vals, y_vals, c_vals) -> bool:
     return oracle_majorized(xt, yt)
 
 
-def _exact_unit(vals) -> list[Fraction]:
-    fr = [Fraction(v) for v in vals]  # exact for floats, ints and fractions alike
-    total = sum(fr)
-    return [f / total for f in fr]
+def _common_ints(vals) -> list[int]:
+    """vals exactly, as integers over one common denominator."""
+    fr = [v if type(v) is int else Fraction(v) for v in vals]  # exact for floats too
+    den = math.lcm(*(f.denominator for f in fr))
+    return [f.numerator * (den // f.denominator) for f in fr]
 
 
-def _exact_lorenz(p: list[Fraction], g: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    order = sorted(range(len(p)), key=lambda i: p[i] / g[i], reverse=True)
-    points = [(Fraction(0), Fraction(0))]
+def _exact_lorenz(p: list[int], g: list[int]) -> list[tuple[int, int]]:
+    """Lorenz breakpoints of p relative to g, each axis scaled by that vector's sum."""
+    order = sorted(range(len(p)), key=cmp_to_key(lambda i, j: p[j] * g[i] - p[i] * g[j]))
+    points = [(0, 0)]
     for i in order:
         points.append((points[-1][0] + g[i], points[-1][1] + p[i]))
     return points
@@ -117,67 +119,37 @@ def exact_thermo_margin(p_vals, q_vals, g_vals) -> Fraction:
 
     Each input is converted exactly and normalized to an exact unit sum; p
     thermo-majorizes q relative to g iff the margin is >= 0. A Gibbs weight
-    too small to move a float sum still moves these sums.
+    too small to move a float sum still moves these sums. The breakpoints are
+    integers (each vector over one common denominator, each axis unnormalized),
+    q's are walked in order along p's, and the least margin is the one fraction made.
     """
-    g = _exact_unit(g_vals)
-    lp = _exact_lorenz(_exact_unit(p_vals), g)
-
-    def height(x: Fraction) -> Fraction:
-        k = next(k for k in range(1, len(lp)) if lp[k][0] >= x)
+    g = _common_ints(g_vals)
+    lp = _exact_lorenz(_common_ints(p_vals), g)
+    lq = _exact_lorenz(_common_ints(q_vals), g)
+    tp, tq = lp[-1][1], lq[-1][1]
+    k, least = 1, (0, 1)  # (numerator, positive denominator); the margin is 0 at both ends
+    for x, yq in lq[1:-1]:
+        while lp[k][0] < x:
+            k += 1
         (x0, y0), (x1, y1) = lp[k - 1], lp[k]
-        return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-
-    return min(height(x) - yq for x, yq in _exact_lorenz(_exact_unit(q_vals), g))
+        # (y0 + (x - x0)(y1 - y0)/(x1 - x0))/tp - yq/tq over one denominator
+        num = (y0 * (x1 - x0) + (x - x0) * (y1 - y0)) * tq - yq * (x1 - x0) * tp
+        den = (x1 - x0) * tp * tq
+        if num * least[1] < least[0] * den:
+            least = num, den
+    return Fraction(*least)
 
 
 def exact_thermo_cycle_margin(p_vals, q_vals, g_s, g_c, states) -> Fraction:
     """Worst step of p ⊗ c_i ≻ q ⊗ c_{i+1} relative to g_s ⊗ g_c, exactly."""
-    def exact_tensor(a, b):
-        return [Fraction(u) * Fraction(v) for u in a for v in b]
+    def tensor(a, b):  # a positive multiple of a ⊗ b, which each margin normalizes away
+        return [u * v for u in a for v in b]
 
-    n = len(states)
-    return min(
-        exact_thermo_margin(
-            exact_tensor(p_vals, states[i]), exact_tensor(q_vals, states[(i + 1) % n]),
-            exact_tensor(g_s, g_c),
-        )
-        for i in range(n)
-    )
-
-
-# ---------------------------------------------------------------------------
-# frozen reference of search._provably_empty
-# ---------------------------------------------------------------------------
-
-
-def ref_provably_empty(pq, gamma_s, gamma_c, cs) -> bool:
-    """search._provably_empty as it was before its class-minimum screen: every rule
-    evaluated at every axis point, once per support weight."""
-    g0, g1 = gamma_c
-    w = min(gamma_s) * min(g0, g1)
-    if w < np.finfo(float).tiny:
-        return False
-    tol = CURVE_TOL + 64 * (pq.shape[1] + 1) * np.finfo(float).eps
-    full = pq.min() > 0.0  # R2 and R3 need p and q of full support
-    ratios = pq / gamma_s
-    (a, b), (a1, b1) = ratios.max(axis=1), ratios.min(axis=1)
-    cat = np.stack([cs / g0, (1.0 - cs) / g1])
-    alpha = cat.max(axis=0)
-    sigma = np.where(cat > 0.0, cat, np.inf).min(axis=0)
-    support = np.where(cs == 0.0, g1, np.where(cs == 1.0, g0, 1.0))
-    kept = np.zeros(len(cs), dtype=bool)
-    for x in np.unique(support):
-        group = support == x
-        ok = (b - a) * (alpha + alpha[group].min()) <= 2 * tol / w  # R1
-        if full:
-            s = sigma[group].min()
-            ok &= np.where(
-                group,
-                (a1 - b1) * (sigma + s) <= 2 * tol / w,  # R2
-                a1 * np.where(support > x, sigma, s) * abs(support - x) <= tol,  # R3
-            )
-        kept |= ok
-    return not kept.any()
+    p, q, g_s, g_c = map(_common_ints, (p_vals, q_vals, g_s, g_c))
+    cs = [_common_ints(c) for c in states]
+    g = tensor(g_s, g_c)
+    steps = zip(cs, cs[1:] + cs[:1])
+    return min(exact_thermo_margin(tensor(p, c), tensor(q, c_next), g) for c, c_next in steps)
 
 
 # ---------------------------------------------------------------------------

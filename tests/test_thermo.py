@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import warnings
 from bisect import bisect_right
@@ -17,6 +19,7 @@ from flexcat import (
     GibbsVec,
     NonFiniteEntry,
     LorenzCurve,
+    ProbVec,
     curve_geq,
     gibbs_tensor,
     gibbs_vector,
@@ -27,7 +30,7 @@ from flexcat import (
     thermo_majorizes,
     uniform,
 )
-from flexcat import search, thermo
+from flexcat import search
 from flexcat.errors import FlexcatError
 from flexcat.search import GridSpec, scan_thermo_feasibility
 from flexcat.thermo import (
@@ -36,6 +39,7 @@ from flexcat.thermo import (
     _curve_values,
     _step_curves,
     _tensor_rows,
+    dominance_diagonal,
     dominance_matrix,
     lorenz_breakpoints_batch,
 )
@@ -50,7 +54,6 @@ from helpers import (
     exact_thermo_cycle_margin,
     exact_thermo_margin,
     random_prob,
-    ref_provably_empty,
     suite_uniform_gamma_thermo,
 )
 
@@ -421,132 +424,6 @@ def test_dominance_matrix_equals_dense_reference(d):
     assert (xb[1:] != xb[:-1]).any(axis=1).all()  # sorted, so every run has one row
     m = dominance_matrix(xa, ya, xb, yb)
     assert np.array_equal(m, _dense_dominance(xa, ya, xb, yb))
-    assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
-
-
-def _ref_curve_values(xa, ya, pts):
-    """_curve_values as it was before segments were counted per distinct abscissa row:
-    each curve A_i at the points pts[i] (one row per curve, or one for all), with every
-    row's segments counted on an (n - 2, m, ...) array."""
-    m, n = xa.shape
-    col = (m,) + (1,) * (pts.ndim - 1)
-    seg = (xa[:, 1:-1].T.reshape((n - 2,) + col) <= pts).sum(axis=0)
-    seg += (np.arange(m) * n).reshape(col)  # flat indices into the (m, n) arrays
-    dx = xa[:, 1:] - xa[:, :-1]
-    slopes = np.zeros_like(xa)
-    np.divide(ya[:, 1:] - ya[:, :-1], dx, out=slopes[:, :-1], where=dx > 0)
-    vals = pts - xa.take(seg)
-    vals *= slopes.take(seg)
-    return np.add(vals, ya.take(seg), out=vals)
-
-
-def _grouped_dominance(xa, ya, xb, yb):
-    """The kernel before runs and interval bounds: one group per distinct abscissa row,
-    every member compared column by column."""
-    ux, inverse, counts = np.unique(xb, axis=0, return_inverse=True, return_counts=True)
-    vals = _ref_curve_values(xa, ya, ux[None])
-    floor = yb - CURVE_TOL
-    out = np.empty((xa.shape[0], xb.shape[0]), dtype=bool)
-    members = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
-    for g, cols in enumerate(members):
-        block = np.ones((xa.shape[0], len(cols)), dtype=bool)
-        for k in range(ux.shape[1]):
-            block &= vals[:, g, k, None] >= floor[None, cols, k]
-        out[:, cols] = block
-    return out
-
-
-def _random_scan_pair(rng, d, cs, levels_c=None):
-    """Scan curves of two random states on axis cs, relative to a random Gibbs reference."""
-    beta = rng.uniform(0.3, 2.0)
-    levels_c = [0.0, rng.uniform(0.2, 2.0)] if levels_c is None else levels_c
-    gamma = gibbs_tensor(
-        gibbs_vector(rng.uniform(0.0, 3.0, d), beta), gibbs_vector(levels_c, beta)
-    ).as_array()
-    return [_scan_curves(random_prob(rng, d).as_array(), cs, gamma) for _ in range(2)]
-
-
-def _assert_matches_grouped(a, b):
-    for curves in ((*a, *b), (*b, *a)):
-        assert np.array_equal(dominance_matrix(*curves), _grouped_dominance(*curves))
-
-
-AXIS = np.linspace(0.0, 1.0, 201)
-GROUPED_SCANS = {  # (d, weight axis, catalyst levels; None draws a random gap)
-    "constant-heights": (4, AXIS, [0.0, 0.0]),
-    "reversed": (4, AXIS[::-1], None),
-    "recurring": (3, np.concatenate([AXIS, AXIS[::-1], AXIS]), None),
-    "axis-2": (3, np.array([0.0, 1.0]), None),
-    **{f"grid-1001-d{d}": (d, np.linspace(0.0, 1.0, 1001), None) for d in (3, 4, 5)},
-}
-
-
-@pytest.mark.parametrize("d, cs, levels_c", GROUPED_SCANS.values(), ids=GROUPED_SCANS.keys())
-def test_dominance_matrix_equals_grouped_reference(d, cs, levels_c):
-    rng = np.random.default_rng(1000 + len(cs) + d)
-    for _ in range(2):
-        a, b = _random_scan_pair(rng, d, cs, levels_c)
-        _assert_matches_grouped(a, b)
-        if len(np.unique(cs)) < len(cs):  # the axis turns back, so abscissa rows recur
-            xb = b[0]
-            assert 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > len(np.unique(xb, axis=0))
-
-
-def test_dominance_matrix_band_rows_match_grouped_reference():
-    """Rows whose value lies inside a jittering column's range are compared cell by cell.
-
-    With a Gibbs catalyst reference (0.5, 0.5) the prefix heights that close both
-    catalyst levels of a system level are constant in c and jitter by an ulp. A
-    curve A_i equal to B_i lowered by CURVE_TOL takes, at its own abscissae, the
-    value yb[i] - CURVE_TOL exactly, so rows of one run land inside the jitter.
-    """
-    rng = np.random.default_rng(5)
-    (xb, yb), _ = _random_scan_pair(rng, 4, AXIS, [0.0, 0.0])
-    xa, ya = xb, yb - CURVE_TOL
-    starts = np.flatnonzero(np.r_[True, (xb[1:] != xb[:-1]).any(axis=1)])
-    vals = _ref_curve_values(xa, ya, xb[starts][None])
-    floor = yb - CURVE_TOL
-    band_cells = 0
-    for g, (a, b) in enumerate(zip(starts, np.r_[starts[1:], len(xb)])):
-        for k in range(xb.shape[1]):
-            col, steps = floor[a:b, k], np.diff(floor[a:b, k])
-            if (steps < 0).any() and (steps > 0).any():
-                band_cells += ((vals[:, g, k] >= col.min()) & (vals[:, g, k] < col.max())).sum()
-    assert band_cells > 0
-    m = dominance_matrix(xa, ya, xb, yb)
-    assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
-    assert 0 < m.sum() < m.size
-
-
-def test_dominance_matrix_nan_values_fail_like_grouped_reference():
-    rng = np.random.default_rng(8)
-    (xa, ya), (xb, yb) = _random_scan_pair(rng, 3, AXIS)
-    ya, yb = ya.copy(), yb.copy()
-    ya[3] = np.nan
-    ya[::7, 2] = np.nan
-    yb[::5, 3] = np.nan
-    m = dominance_matrix(xa, ya, xb, yb)
-    assert np.array_equal(m, _grouped_dominance(xa, ya, xb, yb))
-    assert not m[3].any() and not m[:, ::5].any() and m.any()
-
-
-def _shuffled(curves, perm):
-    return tuple(c[perm] for c in curves)
-
-
-@pytest.mark.parametrize("d", [3, 5])
-def test_dominance_matrix_unordered_rows_match_grouped_reference(d):
-    """Scan rows in random order recur many times; they are grouped, then put back."""
-    rng = np.random.default_rng(1100 + d)
-    a, b = _random_scan_pair(rng, d, np.linspace(0.0, 1.0, 1001))
-    pa, pb = rng.permutation(1001), rng.permutation(1001)
-    a_shuffled, b_shuffled = _shuffled(a, pa), _shuffled(b, pb)
-    xb = b_shuffled[0]
-    assert 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > 10 * len(np.unique(xb, axis=0))
-    _assert_matches_grouped(a_shuffled, b_shuffled)
-    _assert_matches_grouped(a, b_shuffled)
-    ordered = dominance_matrix(*a, *b)
-    assert np.array_equal(dominance_matrix(*a_shuffled, *b_shuffled), ordered[pa][:, pb])
 
 
 def test_abscissa_groups_rebuild_rows():
@@ -558,50 +435,6 @@ def test_abscissa_groups_rebuild_rows():
     assert np.array_equal(distinct[group], x, equal_nan=True)
     assert group[0] == group[1] == group[3] != group[2] == group[6]
     assert len(distinct) == 4  # a row holding NaN equals no other row
-
-
-def _property_scan_pair(rng):
-    """Scan curves of a random system: d = 3..6, a degenerate or gapped catalyst,
-    2 to 1001 rows, sometimes a Gibbs weight of e^-37 to e^-60, NaN heights or
-    rows in random order."""
-    d = int(rng.integers(3, 7))
-    cs = np.linspace(0.0, 1.0, int(rng.choice([2, 31, 401, 1001])))
-    beta = float(rng.uniform(0.3, 2.0))
-    levels_s = rng.uniform(0.0, 3.0, d)
-    states = [rng.exponential(1.0, d) for _ in range(2)]
-    if rng.random() < 0.3:  # too small to change a float running sum: zero-width segments
-        beta, tiny = 1.0, rng.integers(d)
-        levels_s[tiny] = rng.uniform(37.0, 60.0)
-        if rng.random() < 0.5:  # an empty level sorts last, where its segment has zero width
-            states[0][tiny] = 0.0
-    levels_c = [0.0, 0.0] if rng.random() < 0.5 else [0.0, float(rng.uniform(0.2, 2.0))]
-    gamma = gibbs_tensor(gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)).as_array()
-    curves = [_scan_curves(v / v.sum(), cs, gamma) for v in states]
-    if rng.random() < 0.3:
-        curves = [_shuffled(c, rng.permutation(len(cs))) for c in curves]
-    if rng.random() < 0.2:
-        for _, y in curves:
-            y[rng.random(y.shape) < 0.02] = np.nan
-    return curves
-
-
-def test_curve_values_match_frozen_reference():
-    rng = np.random.default_rng(16)
-    seen = set()
-    for _ in range(200):
-        (xa, ya), (xb, yb) = _property_scan_pair(rng)
-        seen |= {
-            ("zero width", bool((np.diff(xa[:, :-1], axis=1) == 0).any())),
-            ("NaN", bool(np.isnan(ya).any() and np.isnan(yb).any())),
-            ("recurring", 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > len(np.unique(xb, axis=0))),
-        }
-        for pts in (np.unique(xb, axis=0)[None], xb):  # shared rows, and one row per curve
-            got, want = _curve_values(xa, ya, pts), _ref_curve_values(xa, ya, pts)
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-        if len(xb) <= 401:  # the 1001-row scans above already cover the matrix
-            assert np.array_equal(dominance_matrix(xa, ya, xb, yb), _grouped_dominance(xa, ya, xb, yb))
-    assert {case for case, hit in seen if hit} == {"zero width", "NaN", "recurring"}
 
 
 def _tied_state(rng, g: np.ndarray) -> tuple[float, ...]:
@@ -669,33 +502,6 @@ def test_tiny_gibbs_weight_scan_matches_exact_oracle():
     assert np.array_equal(grid.values == 1.0, exact)
 
 
-# ---------------------------------------------------------------------------
-# the 2-cycle scan: M & M.T, or nothing when the end slopes prove the grid empty
-# ---------------------------------------------------------------------------
-
-
-def _mutual_reference(curves) -> np.ndarray:
-    """M & M.T for M of the grouped reference, compared column by column."""
-    step = _grouped_dominance(*curves)
-    return step & step.T
-
-
-def _assert_mutual_dominance(curves) -> bool:
-    """dominance_matrix & its transpose equals the grouped reference's; returns
-    whether the grid holds a true cell."""
-    step = dominance_matrix(*curves)
-    got = step & step.T
-    want = _mutual_reference(curves)
-    assert np.array_equal(got, want)
-    return bool(want.any())
-
-
-def _scan_steps(system, cs):
-    """(pq, gamma_s, gamma_c, curves) of the thermal scan of system on axis cs."""
-    pq, gamma_s, gamma_c, gamma = search._scan_inputs(*system)
-    return pq, gamma_s, gamma_c, _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
-
-
 def _thermal_draw(rng):
     """A random d = 3 system as perfbench's thermal workloads draw one."""
     p, q = (rng.exponential(1.0, 3) for _ in range(2))
@@ -708,100 +514,222 @@ def _thermal_draw(rng):
     )
 
 
-@pytest.mark.parametrize("steps, draws", [(101, 300), (1001, 20)])
-def test_thermal_scan_equals_step_matrix_and_transpose(monkeypatch, steps, draws):
-    rng = np.random.default_rng(steps)
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, steps, steps)
-    built = []
-    kernel = search.dominance_matrix
-    monkeypatch.setattr(search, "dominance_matrix", lambda *args: built.append(1) or kernel(*args))
-    grids = {"empty": 0, "non-empty": 0, "proven empty": 0}
-    for _ in range(draws):
-        system = _thermal_draw(rng)
-        want = _mutual_reference(_scan_steps(system, spec.axis1())[3])
-        built.clear()
-        got = scan_thermo_feasibility(*system, spec).values
-        assert got.dtype == bool and np.array_equal(got, want)
-        grids["non-empty" if want.any() else "empty"] += 1
-        grids["proven empty"] += not built
-    assert grids["non-empty"] > 0 and grids["empty"] > grids["proven empty"] > 0
+def test_end_slope_rules_prove_most_thermal_draws_empty():
+    """At least 60% of random d = 3 systems drawn as the benchmark draws them
+    are proven empty at 101²: 201 of these 300, while 210 are empty."""
+    rng = np.random.default_rng(300)
+    cs = np.linspace(0.0, 1.0, 101)
+    proven = 0
+    for _ in range(300):
+        pq, gamma_s, gamma_c, _ = search._scan_inputs(*_thermal_draw(rng))
+        proven += search._provably_empty(pq, gamma_s, gamma_c, cs)
+    assert proven >= 180
 
 
-def _band_fixture():
-    """The band-row fixture of test_dominance_matrix_band_rows_match_grouped_reference."""
-    (xb, yb), _ = _random_scan_pair(np.random.default_rng(5), 4, AXIS, [0.0, 0.0])
-    return xb, yb - CURVE_TOL, xb, yb
+def _equivalence_axes():
+    """Axes with both ends, neither end, 2 points, and repeated zero points."""
+    repeated = GridSpec(0.0, 5e-324, 0.0, 5e-324, 3, 3)
+    assert repeated.axis1().tolist() == [0.0, 0.0, 5e-324]
+    spans = ((0, 1, 1001), (0.2, 0.7, 31), (0, 0.5, 51), (0, 1, 2))
+    return [GridSpec(lo, hi, lo, hi, n, n) for lo, hi, n in spans] + [repeated]
 
 
-def _nan_fixture():
-    """The NaN pattern of test_dominance_matrix_nan_values_fail_like_grouped_reference,
-    on one curve set compared with itself, so that true cells remain."""
-    _, (xb, yb) = _random_scan_pair(np.random.default_rng(8), 3, AXIS)
-    xa, ya, yb = xb, yb.copy(), yb.copy()
-    ya[3] = np.nan
-    ya[::7, 2] = np.nan
-    yb[::5, 3] = np.nan
-    return xa, ya, xb, yb
+def _near_tie_system():
+    """p, the Gibbs state of levels (0, 1, 2, 3), and q, whose largest and least
+    ratios to it lie about 6e-9 above and below 1. With catalyst levels (0, 0) the
+    inside passes R1 at its least α and R2 at its least σ, but no point passes both."""
+    levels_s = (0.0, 1.0, 2.0, 3.0)
+    p = gibbs_vector(levels_s, 1.0).values
+    q = [v * r for v, r in zip(p, (1 + 6.1e-9, 1.0, 1.0, 1 - 6.3e-9))]
+    q[1] += 1.0 - math.fsum(q)
+    return p, tuple(q), levels_s
 
 
-def _tiny_fixture():
-    """The tiny Gibbs weight of test_tiny_gibbs_weight_scan_matches_exact_oracle."""
-    return _scan_steps((TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0), AXIS)[3]
+# ---------------------------------------------------------------------------
+# differential harness for thermo-dominance: each case's step matrix
+# M = dominance_matrix against the paired kernel that thermo_majorizes and
+# thermo_flexible_ok run, its scan grid against M & M.T, and a subset of its
+# cells against thermo_flexible_ok and exact rational margins
+# ---------------------------------------------------------------------------
+
+FULL_PAIRS = 201  # up to this many rows a side, M is compared with the paired kernel in full
+SAMPLED_PAIRS = 2000  # above it, up to this many of M's boundary cells and as many seeded ones
 
 
-SQUARE_FIXTURES = {"band-rows": _band_fixture, "nan": _nan_fixture, "tiny-gibbs": _tiny_fixture}
+def _boundary(m: np.ndarray) -> np.ndarray:
+    """Cells of the bool matrix m that have a 4-neighbour of the other verdict."""
+    edge = np.zeros_like(m)
+    rows, cols = m[1:] != m[:-1], m[:, 1:] != m[:, :-1]
+    edge[1:] |= rows
+    edge[:-1] |= rows
+    edge[:, 1:] |= cols
+    edge[:, :-1] |= cols
+    return edge
 
 
-@pytest.mark.parametrize("fixture", SQUARE_FIXTURES.values(), ids=SQUARE_FIXTURES.keys())
-def test_mutual_dominance_fixtures_equal_step_matrix_and_transpose(fixture):
-    assert _assert_mutual_dominance(fixture())
+def _check_kernels(rng, curves) -> np.ndarray:
+    """M = dominance_matrix(*curves), checked against dominance_diagonal and returned.
+
+    Also checks _curve_values at points that every row shares (the kernel's
+    mode) against its paired mode, bit for bit, sign bits and NaN included.
+    """
+    xa, ya, xb, yb = curves
+    m = dominance_matrix(*curves)
+    if max(m.shape) <= FULL_PAIRS:
+        i, j = np.indices(m.shape).reshape(2, -1)
+    else:
+        edge = np.argwhere(_boundary(m))
+        edge = edge[rng.permutation(len(edge))[:SAMPLED_PAIRS]]
+        i, j = np.r_[edge, rng.integers(m.shape, size=(SAMPLED_PAIRS, 2))].T
+    assert np.array_equal(m[i, j], dominance_diagonal(xa[i], ya[i], xb[j], yb[j]))
+    pts = np.unique(xb, axis=0)
+    rows = rng.permutation(len(xa))[:FULL_PAIRS]
+    shared = _curve_values(xa, ya, pts[None])[rows]
+    at = np.repeat(rows, len(pts))
+    paired = _curve_values(xa[at], ya[at], np.tile(pts, (len(rows), 1))).reshape(shared.shape)
+    assert np.array_equal(shared, paired, equal_nan=True)
+    assert np.array_equal(np.signbit(shared), np.signbit(paired))
+    return m
 
 
-def test_mutual_dominance_unordered_rows_equal_step_matrix_and_transpose():
-    """Rows permuted the same way on both sides take the kernel's column sort."""
-    rng = np.random.default_rng(23)
-    found = set()
-    for _ in range(12):
-        a, b = _random_scan_pair(rng, 3, np.linspace(0.0, 1.0, 301))
-        perm = rng.permutation(301)
-        curves = (*_shuffled(a, perm), *_shuffled(b, perm))
-        distinct, group = _abscissa_groups(curves[2])
-        assert (group[1:] != group[:-1]).sum() >= len(distinct)  # an abscissa row recurs
-        found.add(_assert_mutual_dominance(curves))
-        ordered = dominance_matrix(*a, *b)
-        shuffled = dominance_matrix(*curves)
-        assert np.array_equal(shuffled & shuffled.T, (ordered & ordered.T)[perm][:, perm])
-    assert found == {True, False}
+def _check_system(rng, system, spec, order, tally, every_edge=False):
+    """Every check on the thermal 2-cycle scan of system on spec's axis, the curves
+    taking its points in the given order; returns the curves and M & M.T.
+
+    A grid proven empty must hold no feasible cell. The cells checked against the
+    scalar API and the exact oracle are one seeded boundary cell of the grid and
+    one seeded cell, or with every_edge each feasible cell and each 4-neighbour;
+    outside the band (-CURVE_TOL, 0) a verdict is the sign of the exact margin.
+    """
+    pq, gamma_s, gamma_c, gamma = search._scan_inputs(*system)
+    cs = spec.axis1()[order]
+    curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
+    m = _check_kernels(rng, curves)
+    grid = m & m.T
+    assert np.array_equal(scan_thermo_feasibility(*system, spec).values[np.ix_(order, order)], grid)
+    proven = search._provably_empty(pq, gamma_s, gamma_c, spec.axis1())
+    assert not (proven and grid.any()), (system, spec)
+    tally["proven"] += proven
+    tally["empty"] += not grid.any()
+    if every_edge:
+        picks = np.argwhere(grid | _boundary(grid))
+    else:
+        edge = np.argwhere(_boundary(grid))
+        picks = np.r_[edge[rng.permutation(len(edge))[:1]], rng.integers(len(cs), size=(1, 2))]
+    gs, gc = GibbsVec(gamma_s), GibbsVec(gamma_c)
+    for i, j in picks.tolist():
+        states = [(cs[i], 1.0 - cs[i]), (cs[j], 1.0 - cs[j])]
+        verdict = thermo_flexible_ok(*pq, gs, Cycle((ProbVec(states[0]), ProbVec(states[1]))), gc)
+        assert verdict == grid[i, j], (system, states)
+        margin = exact_thermo_cycle_margin(*pq, gamma_s, gamma_c, states)
+        tally["exact"] += 1
+        if -CURVE_TOL < margin < 0:  # in the band the slack decides, so the cell is only counted
+            tally["band"] += 1
+        else:
+            assert verdict == (margin >= 0), (system, states, margin)
+    return curves, grid
 
 
-def _pruning_draw(rng):
-    """A random system and axis from the cases the end-slope rules must survive."""
+def _harness_draw(rng, steps=None):
+    """A random system (p, q, levels_s, levels_c, beta), a GridSpec, the order in
+    which the curves take its axis points, and that order's name. steps, if
+    given, holds the point counts that the axis is drawn from, evenly.
+
+    d = 2..6, zero entries and tied ratios p_i/g_i; levels up to 60 kT, whose
+    Gibbs weights near e^-60 are too small to move a float sum; catalyst levels
+    (0, 0), (0, ±40) (one weight rounds to 1) or a random gap; 2- to
+    1001-point axes over [0, 1] or a sub-range, in order, reversed, recurring
+    or shuffled.
+    """
     d = int(rng.integers(2, 7))
-    p, q = rng.exponential(1.0, (2, d))
-    if rng.random() < 0.25:  # zero entries in p or q
-        (p, q)[rng.integers(2)][rng.integers(d)] = 0.0
-    top = 60.0 if rng.random() < 0.2 else 3.0  # up to 60 kT: Gibbs weights near e^-60
-    levels_c = (0.0, 0.0) if rng.random() < 0.1 else (0.0, float(rng.uniform(0.2, top)))
+    top = 60.0 if rng.random() < 0.2 else 3.0
+    kind = rng.random()
+    if kind < 0.15:
+        levels_c = (0.0, 0.0)
+    elif kind < 0.25:
+        levels_c = (0.0, float(rng.choice((-40.0, 40.0))))
+    else:
+        levels_c = (0.0, float(rng.uniform(0.2, top)))
+    beta = float(rng.uniform(0.3, 2.0)) if top == 3.0 and kind >= 0.25 else 1.0
     levels_s = tuple(rng.uniform(0.0, top, d))
-    system = (tuple(p / p.sum()), tuple(q / q.sum()), levels_s, levels_c, 1.0)
+    g = gibbs_vector(levels_s, beta).as_array()
+    p, q = (np.array(_tied_state(rng, g)) for _ in range(2))
+    if rng.random() < 0.25:
+        (p, q)[rng.integers(2)][rng.integers(d)] = 0.0
+    sizes, shares = (2, 3, 11, 31, 41, 201, 401, 1001), (0.15, 0.1, 0.2, 0.2, 0.15, 0.1, 0.05, 0.05)
+    n = int(rng.choice(sizes, p=shares) if steps is None else rng.choice(steps))
     lo, hi = (0.0, 1.0) if rng.random() < 0.6 else (0.2, 0.9) if rng.random() < 0.5 else (0.0, 0.5)
-    steps = int(rng.choice([2, 3, 11, 41]))
-    return system, GridSpec(lo, hi, lo, hi, steps, steps)
+    order, kind = np.arange(n), rng.random()
+    if kind < 0.15:
+        order, name = order[::-1], "reversed"
+    elif kind < 0.25 and n <= 401:
+        order, name = np.r_[order, order[::-1], order], "recurring"
+    elif kind < 0.45:
+        order, name = rng.permutation(n), "shuffled"
+    else:
+        name = "in order"
+    system = (tuple(p / p.sum()), tuple(q / q.sum()), levels_s, levels_c, beta)
+    return system, GridSpec(lo, hi, lo, hi, n, n), order, name
+
+
+@functools.cache
+def _screen_draws() -> list:
+    """5,000 seeded harness draws on 2- to 41-point axes, each with its scan inputs."""
+    rng = np.random.default_rng(25)
+    draws = []
+    for _ in range(5000):
+        system, spec, _, _ = _harness_draw(rng, steps=(2, 3, 11, 41))
+        draws.append((system, spec, search._scan_inputs(*system)))
+    return draws
+
+
+def test_end_slope_screen_matches_frozen_reference():
+    """_provably_empty on the paper's pair, a state near the Gibbs state, zero entries
+    and a near-tie, each with catalyst levels whose point classes merge, vanish or
+    repeat, on axes with both ends, neither end, 2 points and repeated zero points,
+    through every harness check; and the tiny Gibbs weight of
+    test_tiny_gibbs_weight_scan_matches_exact_oracle. Its verdicts on 5,000 seeded
+    draws equal those of the retired every-point reference, recorded as a digest."""
+    assert gibbs_vector((0.0, -40.0), 1.0).values[1] == 1.0  # c = 0 joins the inside
+    assert gibbs_vector((0.0, 40.0), 1.0).values[0] == 1.0  # c = 1 joins the inside
+    rng = np.random.default_rng(28)
+    tally = dict.fromkeys(("exact", "band", "proven", "empty"), 0)
+    pairs = ((THERMO_P, THERMO_Q), ((0.6652, 0.2447, 0.0901), (0.1, 0.2, 0.7)),
+             ((0.7, 0.3, 0.0), (0.5, 0.3, 0.2)), ((0.5, 0.3, 0.2), (0.6, 0.4, 0.0)))
+    systems = [(p, q, LEVELS_S) for p, q in pairs] + [_near_tie_system()]
+    axes = _equivalence_axes()
+    for p, q, levels_s in systems:
+        for levels_c in ((0.0, 1.0), (0.0, 0.0), (0.0, -40.0), (0.0, 40.0)):
+            for spec in axes:
+                system = (p, q, levels_s, levels_c, 1.0)
+                _check_system(rng, system, spec, np.arange(spec.steps1), tally)
+    tiny = (TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0)
+    _check_system(rng, tiny, GridSpec(0.0, 1.0, 0.0, 1.0, 201, 201), np.arange(201), tally)
+    pq, gamma_s, gamma_c, _ = search._scan_inputs(*_near_tie_system(), (0.0, 0.0), 1.0)
+    assert search._provably_empty(pq, gamma_s, gamma_c, axes[0].axis1())  # decided point by point
+    # pinned: a changed end-slope verdict or band share shows here
+    assert tally == {"exact": 103, "band": 0, "proven": 36, "empty": 99}
+    verdicts = []
+    for draw, (_, spec, (pq, gamma_s, gamma_c, _)) in enumerate(_screen_draws()):
+        cs = (spec if draw % 5 else axes[draw // 5 % len(axes)]).axis1()
+        verdicts.append(search._provably_empty(pq, gamma_s, gamma_c, cs))
+    digest = hashlib.sha256(np.packbits(verdicts).tobytes()).hexdigest()[:16]
+    assert (sum(verdicts), digest) == (2298, "68978e3d47e21b2e")  # the reference's verdicts
 
 
 def test_end_slope_pruning_is_sound():
-    """Whenever the end-slope rules prove a grid empty, the full step matrix finds
-    no feasible cell, and exact rational margins agree on sampled cells."""
+    """Whenever the end-slope rules prove a grid of the screen draws empty, the full
+    step matrix finds no feasible cell, and exact rational margins agree on sampled
+    cells; and 120 harness draws, on 2- to 1001-point axes in any order, pass every
+    harness check."""
     rng = np.random.default_rng(2024)
     seen = set()
     exact_checked = 0
-    for _ in range(2000):
-        system, spec = _pruning_draw(rng)
+    for system, spec, (pq, gamma_s, gamma_c, gamma) in _screen_draws()[:2000]:
         cs = spec.axis1()
-        pq, gamma_s, gamma_c, curves = _scan_steps(system, cs)
         if not search._provably_empty(pq, gamma_s, gamma_c, cs):
             continue
-        step = dominance_matrix(*curves)
+        step = dominance_matrix(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma))
         assert not (step & step.T).any(), (system, spec)
         seen.add((
             pq.shape[1],
@@ -819,69 +747,248 @@ def test_end_slope_pruning_is_sound():
     assert {key[0] for key in seen} == {2, 3, 4, 5, 6}
     for field in range(1, 6):  # pruned with and without each case
         assert {key[field] for key in seen} == {True, False}
+    rng = np.random.default_rng(27)
+    tally = dict.fromkeys(("exact", "band", "proven", "empty"), 0)
+    seen = {key: set() for key in ("d", "steps", "order", "levels_c", "case")}
+    for _ in range(120):
+        system, spec, order, name = _harness_draw(rng)
+        curves, grid = _check_system(rng, system, spec, order, tally)
+        seen["d"].add(len(system[0]))
+        seen["steps"].add(spec.steps1)
+        seen["order"].add(name)
+        seen["levels_c"].add(system[3][1] if abs(system[3][1]) in (0.0, 40.0) else "gap")
+        seen["case"] |= {
+            "zero entry" if min(system[0] + system[1]) == 0.0 else "full support",
+            "zero width" if (np.diff(curves[0], axis=1) == 0).any() else "no zero width",
+            "feasible" if grid.any() else "empty",
+        }
+    # pinned: a changed end-slope verdict or band share shows here
+    assert tally == {"exact": 155, "band": 2, "proven": 71, "empty": 84}
+    assert seen == {
+        "d": {2, 3, 4, 5, 6},
+        "steps": {2, 3, 11, 31, 41, 201, 401, 1001},
+        "order": {"in order", "reversed", "recurring", "shuffled"},
+        "levels_c": {0.0, -40.0, 40.0, "gap"},
+        "case": {"zero entry", "full support", "zero width", "no zero width", "feasible", "empty"},
+    }
 
 
-def test_end_slope_rules_prove_most_thermal_draws_empty():
-    """At least 60% of random d = 3 systems drawn as the benchmark draws them
-    are proven empty at 101²: 201 of these 300, while 210 are empty."""
-    rng = np.random.default_rng(300)
-    cs = np.linspace(0.0, 1.0, 101)
-    proven = 0
-    for _ in range(300):
-        pq, gamma_s, gamma_c, _ = _scan_steps(_thermal_draw(rng), cs)
-        proven += search._provably_empty(pq, gamma_s, gamma_c, cs)
-    assert proven >= 180
+@pytest.mark.parametrize("steps, draws", [(101, 300), (1001, 20)])
+def test_thermal_scan_equals_step_matrix_and_transpose(monkeypatch, steps, draws):
+    """The scan grid is M & M.T; its cells that have a 4-neighbour of the other
+    verdict are the paired kernel's verdicts both ways."""
+    rng = np.random.default_rng(steps)
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, steps, steps)
+    cs = spec.axis1()
+    built = []
+    kernel = search.dominance_matrix
+    monkeypatch.setattr(search, "dominance_matrix", lambda *args: built.append(1) or kernel(*args))
+    grids = {"empty": 0, "non-empty": 0, "proven empty": 0}
+    for _ in range(draws):
+        system = _thermal_draw(rng)
+        pq, _, _, gamma = search._scan_inputs(*system)
+        xa, ya, xb, yb = curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
+        step = kernel(*curves)
+        want = step & step.T
+        i, j = np.argwhere(_boundary(want)).T
+        paired = dominance_diagonal(xa[i], ya[i], xb[j], yb[j])
+        assert np.array_equal(want[i, j], paired & dominance_diagonal(xa[j], ya[j], xb[i], yb[i]))
+        built.clear()
+        got = scan_thermo_feasibility(*system, spec).values
+        assert got.dtype == bool and np.array_equal(got, want)
+        grids["non-empty" if want.any() else "empty"] += 1
+        grids["proven empty"] += not built
+    assert grids["non-empty"] > 0 and grids["empty"] > grids["proven empty"] > 0
 
 
-def _equivalence_axes():
-    """Axes with both ends, neither end, 2 points, and repeated zero points."""
-    repeated = GridSpec(0.0, 5e-324, 0.0, 5e-324, 3, 3).axis1()
-    assert repeated.tolist() == [0.0, 0.0, 5e-324]
-    spans = ((0, 1, 1001), (0.2, 0.7, 31), (0, 0.5, 51), (0, 1, 2))
-    return [np.linspace(*span) for span in spans] + [repeated]
+def _ref_curve_value(xs, ys, x):
+    """_curve_values' arithmetic at one point, in scalar Python: x lies on the last
+    segment whose left end does not exceed it, and a zero-width segment has slope 0."""
+    i = bisect_right(xs, x, 1, len(xs) - 1) - 1
+    dx = xs[i + 1] - xs[i]
+    slope = (ys[i + 1] - ys[i]) / dx if dx > 0 else 0.0
+    return (x - xs[i]) * slope + ys[i]
 
 
-def _near_tie_system():
-    """p, the Gibbs state of levels (0, 1, 2, 3), and q, whose largest and least
-    ratios to it lie about 6e-9 above and below 1. With catalyst levels (0, 0) the
-    inside passes R1 at its least α and R2 at its least σ, but no point passes both."""
-    levels_s = (0.0, 1.0, 2.0, 3.0)
-    p = gibbs_vector(levels_s, 1.0).values
-    q = [v * r for v, r in zip(p, (1 + 6.1e-9, 1.0, 1.0, 1 - 6.3e-9))]
-    q[1] += 1.0 - math.fsum(q)
-    return p, tuple(q), levels_s
+def test_curve_values_match_frozen_reference():
+    """_curve_values at points that every row shares and at one row of points per
+    curve, against _ref_curve_value bit for bit, sign bits and NaN included."""
+    rng = np.random.default_rng(16)
+    seen = set()
+    for _ in range(100):
+        system, spec, order, _ = _harness_draw(rng)
+        pq, _, _, gamma = search._scan_inputs(*system)
+        cs = spec.axis1()[order]
+        xa, ya, xb, _ = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
+        if rng.random() < 0.3:
+            ya = np.where(rng.random(ya.shape) < 0.05, np.nan, ya)
+        pts = np.unique(xb, axis=0)
+        shared, own = _curve_values(xa, ya, pts[None]), _curve_values(xa, ya, xb)
+        for i, g in rng.integers((len(xa), len(pts)), size=(10, 2)).tolist():
+            for got, at in ((shared[i, g], pts[g]), (own[i], xb[i])):
+                want = np.array([_ref_curve_value(xa[i].tolist(), ya[i].tolist(), x) for x in at])
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        seen |= {
+            ("zero width", bool((np.diff(xa[:, :-1], axis=1) == 0).any())),
+            ("NaN", bool(np.isnan(ya).any())),
+            ("recurring", 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > len(pts)),
+        }
+    assert {case for case, hit in seen if hit} == {"zero width", "NaN", "recurring"}
 
 
-def test_end_slope_screen_matches_frozen_reference():
-    """_provably_empty gives the frozen every-point reference's verdict on seeded
-    draws and on systems whose point classes merge, vanish or repeat."""
-    assert gibbs_vector((0.0, -40.0), 1.0).values[1] == 1.0  # c = 0 joins the inside
-    assert gibbs_vector((0.0, 40.0), 1.0).values[0] == 1.0  # c = 1 joins the inside
-    axes = _equivalence_axes()
-    verdicts = {}
-    pairs = ((THERMO_P, THERMO_Q), ((0.6652, 0.2447, 0.0901), (0.1, 0.2, 0.7)),
-             ((0.7, 0.3, 0.0), (0.5, 0.3, 0.2)), ((0.5, 0.3, 0.2), (0.6, 0.4, 0.0)))
-    systems = [(p, q, LEVELS_S) for p, q in pairs] + [_near_tie_system()]
-    for p, q, levels_s in systems:
-        for levels_c in ((0.0, 1.0), (0.0, 0.0), (0.0, -40.0), (0.0, 40.0)):
-            pq, gamma_s, gamma_c, _ = search._scan_inputs(p, q, levels_s, levels_c, 1.0)
-            for cs in axes:
-                got = search._provably_empty(pq, gamma_s, gamma_c, cs)
-                assert got == ref_provably_empty(pq, gamma_s, gamma_c, cs), (p, q, levels_c, cs)
-                verdicts[got] = verdicts.get(got, 0) + 1
-    rng = np.random.default_rng(25)
-    for draw in range(5000):
-        system, spec = _pruning_draw(rng)
-        if draw % 10 == 0:
-            system = (*system[:3], ((0.0, -40.0), (0.0, 40.0))[draw % 20 // 10], system[4])
-        cs = spec.axis1() if draw % 5 else axes[draw // 5 % len(axes)]
-        pq, gamma_s, gamma_c, _ = search._scan_inputs(*system)
-        got = search._provably_empty(pq, gamma_s, gamma_c, cs)
-        assert got == ref_provably_empty(pq, gamma_s, gamma_c, cs), (system, cs)
-        verdicts[got] = verdicts.get(got, 0) + 1
-    assert min(verdicts[True], verdicts[False]) > 1000
-    pq, gamma_s, gamma_c, _ = search._scan_inputs(*_near_tie_system(), (0.0, 0.0), 1.0)
-    assert search._provably_empty(pq, gamma_s, gamma_c, axes[0])  # decided point by point
+def _random_scan_pair(rng, d, cs, levels_c=None):
+    """Scan curves of two random states on axis cs, relative to a random Gibbs reference."""
+    beta = rng.uniform(0.3, 2.0)
+    levels_c = [0.0, rng.uniform(0.2, 2.0)] if levels_c is None else levels_c
+    gamma = gibbs_tensor(
+        gibbs_vector(rng.uniform(0.0, 3.0, d), beta), gibbs_vector(levels_c, beta)
+    ).as_array()
+    return [_scan_curves(random_prob(rng, d).as_array(), cs, gamma) for _ in range(2)]
+
+
+def _shuffled(curves, perm):
+    return tuple(c[perm] for c in curves)
+
+
+AXIS = np.linspace(0.0, 1.0, 201)
+GROUPED_SCANS = {  # (d, weight axis, catalyst levels; None draws a random gap)
+    "constant-heights": (4, AXIS, [0.0, 0.0]),
+    "reversed": (4, AXIS[::-1], None),
+    "recurring": (3, np.concatenate([AXIS, AXIS[::-1], AXIS]), None),
+    "axis-2": (3, np.array([0.0, 1.0]), None),
+    **{f"grid-1001-d{d}": (d, np.linspace(0.0, 1.0, 1001), None) for d in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("d, cs, levels_c", GROUPED_SCANS.values(), ids=GROUPED_SCANS.keys())
+def test_dominance_matrix_equals_grouped_reference(d, cs, levels_c):
+    """The scans that the retired grouped kernel was checked on, both ways round."""
+    rng, check = np.random.default_rng(1000 + len(cs) + d), np.random.default_rng(d)
+    for _ in range(2):
+        a, b = _random_scan_pair(rng, d, cs, levels_c)
+        _check_kernels(check, (*a, *b))
+        _check_kernels(check, (*b, *a))
+        if len(np.unique(cs)) < len(cs):  # the axis turns back, so abscissa rows recur
+            xb = b[0]
+            assert 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > len(np.unique(xb, axis=0))
+
+
+def _band_fixture(levels_c=(0.0, 0.0)):
+    """201 scan curves B of a d = 4 system and A = B lowered by CURVE_TOL."""
+    (xb, yb), _ = _random_scan_pair(np.random.default_rng(5), 4, AXIS, levels_c)
+    return xb, yb - CURVE_TOL, xb, yb
+
+
+def test_dominance_matrix_band_rows_match_grouped_reference():
+    """Rows whose value lies inside a jittering column's range are compared cell by cell.
+
+    With a Gibbs catalyst reference (0.5, 0.5) the prefix heights that close both
+    catalyst levels of a system level are constant in c and jitter by an ulp. A
+    curve A_i equal to B_i lowered by CURVE_TOL takes, at its own abscissae, the
+    value yb[i] - CURVE_TOL exactly, so rows of one run land inside the jitter.
+    With a gap such values land on the ends of the intervals that searchsorted finds.
+    """
+    xa, ya, xb, yb = _band_fixture()
+    starts = np.flatnonzero(np.r_[True, (xb[1:] != xb[:-1]).any(axis=1)])
+    vals = _curve_values(xa, ya, xb[starts][None])
+    floor = yb - CURVE_TOL
+    band_cells = 0
+    for g, (a, b) in enumerate(zip(starts, np.r_[starts[1:], len(xb)])):
+        for k in range(xb.shape[1]):
+            col, steps = floor[a:b, k], np.diff(floor[a:b, k])
+            if (steps < 0).any() and (steps > 0).any():
+                band_cells += ((vals[:, g, k] >= col.min()) & (vals[:, g, k] < col.max())).sum()
+    assert band_cells > 0
+    rng = np.random.default_rng(29)
+    for levels_c in ((0.0, 0.0), None):
+        m = _check_kernels(rng, _band_fixture(levels_c))
+        assert 0 < m.sum() < m.size
+
+
+def _with_nans(ya, yb):
+    """Copies of ya and yb with NaN heights: A's row 3, every 7th A row at k = 2
+    and every 5th B row at k = 3."""
+    ya, yb = ya.copy(), yb.copy()
+    ya[3] = np.nan
+    ya[::7, 2] = np.nan
+    yb[::5, 3] = np.nan
+    return ya, yb
+
+
+def test_dominance_matrix_nan_values_fail_like_grouped_reference():
+    (xa, ya), (xb, yb) = _random_scan_pair(np.random.default_rng(8), 3, AXIS)
+    ya, yb = _with_nans(ya, yb)
+    m = _check_kernels(np.random.default_rng(8), (xa, ya, xb, yb))
+    assert not m[3].any() and not m[:, ::5].any() and m.any()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_dominance_matrix_unordered_rows_match_grouped_reference(d):
+    """Scan rows in random order recur many times; they are grouped, then put back."""
+    rng = np.random.default_rng(1100 + d)
+    a, b = _random_scan_pair(rng, d, np.linspace(0.0, 1.0, 1001))
+    pa, pb = rng.permutation(1001), rng.permutation(1001)
+    a_shuffled, b_shuffled = _shuffled(a, pa), _shuffled(b, pb)
+    xb = b_shuffled[0]
+    assert 1 + (xb[1:] != xb[:-1]).any(axis=1).sum() > 10 * len(np.unique(xb, axis=0))
+    for curves in ((*a_shuffled, *b_shuffled), (*a, *b_shuffled)):
+        _check_kernels(rng, curves)
+        _check_kernels(rng, curves[2:] + curves[:2])
+    ordered = dominance_matrix(*a, *b)
+    assert np.array_equal(dominance_matrix(*a_shuffled, *b_shuffled), ordered[pa][:, pb])
+
+
+def _nan_fixture():
+    """The NaN pattern of test_dominance_matrix_nan_values_fail_like_grouped_reference,
+    on one curve set compared with itself, so that true cells remain."""
+    _, (xb, yb) = _random_scan_pair(np.random.default_rng(8), 3, AXIS)
+    ya, yb = _with_nans(yb, yb)
+    return xb, ya, xb, yb
+
+
+def _tiny_fixture():
+    """The tiny Gibbs weight of test_tiny_gibbs_weight_scan_matches_exact_oracle."""
+    pq, _, _, gamma = search._scan_inputs(TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0)
+    return _step_curves(pq, np.stack([AXIS, 1.0 - AXIS], axis=1), gamma)
+
+
+SQUARE_FIXTURES = {"band-rows": _band_fixture, "nan": _nan_fixture, "tiny-gibbs": _tiny_fixture}
+
+
+@pytest.mark.parametrize("fixture", SQUARE_FIXTURES.values(), ids=SQUARE_FIXTURES.keys())
+def test_mutual_dominance_fixtures_equal_step_matrix_and_transpose(fixture):
+    m = _check_kernels(np.random.default_rng(31), fixture())
+    assert (m & m.T).any()
+
+
+def test_mutual_dominance_unordered_rows_equal_step_matrix_and_transpose():
+    """Rows permuted the same way on both sides take the kernel's column sort."""
+    rng, check = np.random.default_rng(23), np.random.default_rng(24)
+    found = set()
+    for _ in range(12):
+        a, b = _random_scan_pair(rng, 3, np.linspace(0.0, 1.0, 301))
+        perm = rng.permutation(301)
+        curves = (*_shuffled(a, perm), *_shuffled(b, perm))
+        distinct, group = _abscissa_groups(curves[2])
+        assert (group[1:] != group[:-1]).sum() >= len(distinct)  # an abscissa row recurs
+        shuffled = _check_kernels(check, curves)
+        ordered = dominance_matrix(*a, *b)
+        assert np.array_equal(shuffled & shuffled.T, (ordered & ordered.T)[perm][:, perm])
+        found.add(bool((shuffled & shuffled.T).any()))
+    assert found == {True, False}
+
+
+def test_fig2_example_cells_agree_with_exact_margins():
+    """The paper's Fig. 2 system at 401²: each of its 58 feasible cells and of their
+    44 infeasible 4-neighbours agrees with its exact margin."""
+    tally = dict.fromkeys(("exact", "band", "proven", "empty"), 0)
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 401, 401)
+    system = (THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA)
+    rng = np.random.default_rng(30)
+    _, grid = _check_system(rng, system, spec, np.arange(401), tally, every_edge=True)
+    assert (grid.sum(), (_boundary(grid) & ~grid).sum()) == (58, 44)
+    assert tally == {"exact": 102, "band": 0, "proven": 0, "empty": 0}
 
 
 def test_least_alpha_matches_every_point_minimum():
