@@ -10,7 +10,10 @@ runs in one thread. The entanglement kernels loop over the 2d tail or
 prefix columns, updating one 2-D buffer per column; the thermal kernel is
 thermo.dominance_matrix, whose docstring describes it. A thermal 2-cycle
 scan first tries to prove its grid empty from the curves' end slopes
-(_provably_empty) and builds no curve, nor any states array, when it can.
+(_provably_empty) and builds no curve, nor any states array, when it can;
+it then returns a view of one all-False grid that such scans share, as
+GridSpec.axis1 returns a view of one shared axis. The module keeps the last
+of each, read-only, so it holds at most one n² bool grid and one axis.
 The rules are screened at the least slopes of each class of axis points
 (c = 0, c = 1 and the inside), found from a few axis entries; only a class
 that passes its screen is tested point by point. Every entanglement
@@ -57,6 +60,26 @@ from .thermo import (
 )
 
 
+# Read-only arrays that calls share, by name: (key, array). The module keeps one
+# of each, the last built, and hands out fresh views; numpy will not set the
+# WRITEABLE flag of a view whose base is read-only, so no caller writes into one.
+_shared_arrays: dict[str, tuple] = {}
+
+
+def _shared(name: str, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+    """A view of the array kept under name, which build() replaces when key changes.
+
+    Threads that race here may each build, but each returns the array of its own key.
+    """
+    kept = _shared_arrays.get(name)
+    if kept is None or kept[0] != key:
+        # own the data: linspace returns a view, and views of it would share its writable base
+        array = np.require(build(), requirements="O")
+        array.setflags(write=False)
+        kept = _shared_arrays[name] = (key, array)
+    return kept[1].view()
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """The one weight axis that both catalyst weights of a 2-cycle landscape share.
@@ -89,7 +112,16 @@ class GridSpec:
             raise BadRange("both catalyst weights must share one axis")
 
     def axis1(self) -> np.ndarray:
-        return np.linspace(self.lo1, self.hi1, self.steps1)
+        """linspace(lo1, hi1, steps1) as a read-only view of the module's one shared axis.
+
+        The axis is kept for the last (steps1, lo1, hi1) asked for, the bounds told
+        apart by type and repr: a float's repr fixes its bits, so GridSpec(-1.0, -0.0, ...)
+        keeps its last point's sign bit though it equals GridSpec(-1.0, 0.0, ...).
+        Use .copy() for a writable axis.
+        """
+        lo, hi, steps = self.lo1, self.hi1, self.steps1
+        key = (steps, type(lo), repr(lo), type(hi), repr(hi))
+        return _shared("axis", key, lambda: np.linspace(lo, hi, steps))
 
 
 @dataclass(frozen=True)
@@ -98,7 +130,9 @@ class LandscapeGrid:
 
     values is read-only: float64 in [0, 1] for kind "probability", bool for
     kind "feasibility" (1 byte a cell). A feasibility grid is taken as given
-    when it is bool; numbers must all be exactly 0 or 1.
+    when it is bool; numbers must all be exactly 0 or 1. The grid of a thermal
+    scan proven empty is a view of one all-False grid that such scans share,
+    and numpy will not make it writable: use values.copy() for a grid to write.
     """
 
     spec: GridSpec
@@ -493,7 +527,9 @@ def scan_thermo_feasibility(
     cs = spec.axis1()
     pq, gamma_s, gamma_c, gamma = _scan_inputs(p, q, levels_s, levels_c, beta)
     if _provably_empty(pq, gamma_s, gamma_c, cs):
-        return LandscapeGrid(spec, np.zeros((len(cs), len(cs)), dtype=bool), "feasibility")
+        n = len(cs)
+        empty = _shared("empty", n, lambda: np.zeros((n, n), dtype=bool))
+        return LandscapeGrid(spec, empty, "feasibility")
     step = dominance_matrix(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma))
     step = step & step.T  # a new grid: ANDing in place makes numpy buffer the overlapping operand
     return LandscapeGrid(spec, step, "feasibility")

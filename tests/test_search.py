@@ -7,6 +7,7 @@ import json
 import math
 import struct
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -368,6 +369,103 @@ def test_thermal_scan_returns_its_step_matrix(monkeypatch):
     (step, alive), = made
     assert np.array_equal(grid.values, step & step.T)
     assert alive() is None or alive() is grid.values
+
+
+def _assert_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    if want.dtype.kind == "f":
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+SHARED_AXES = {
+    **{f"{n} points": GridSpec(0.0, 1.0, 0.0, 1.0, n, n) for n in (2, 11, 401, 1001)},
+    "repeated subnormal": GridSpec(0.0, 5e-324, 0.0, 5e-324, 3, 3),
+}
+
+
+@pytest.mark.parametrize("spec", SHARED_AXES.values(), ids=SHARED_AXES.keys())
+def test_empty_scan_and_axis_are_shared_read_only_views(spec):
+    """A scan proven empty and GridSpec.axis1 hand out fresh views of one kept array
+    that no caller can make writable, bit for bit what np.zeros and np.linspace make."""
+    n = spec.steps1
+    first, second = (scan_thermo_feasibility(*EMPTY_FIG2, spec).values for _ in range(2))
+    axis = spec.axis1()
+    assert first is not second and np.shares_memory(first, second)
+    assert axis is not spec.axis1() and np.shares_memory(axis, spec.axis1())
+    fresh = (np.zeros((n, n), dtype=bool), np.linspace(spec.lo1, spec.hi1, n))
+    for got, want in zip((first, axis), fresh):
+        _assert_bits(got, want)
+        with pytest.raises(ValueError):
+            got.setflags(write=True)
+        with pytest.raises(ValueError):
+            got[0] = got[-1]
+
+
+def test_shared_arrays_follow_alternating_shapes():
+    """The kept grid and axis serve scans of 1001, 11 and again 1001 points, with a
+    non-empty scan and a standard scan on another axis in between."""
+    fig2 = (THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA)
+    fig2_spec = GridSpec(0.0, 1.0, 0.0, 1.0, 401, 401)
+    for n in (1001, 11, 1001):
+        spec = GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
+        _assert_bits(scan_thermo_feasibility(*EMPTY_FIG2, spec).values, np.zeros((n, n), dtype=bool))
+        _assert_bits(spec.axis1(), np.linspace(0.0, 1.0, n))
+        grid = scan_thermo_feasibility(*fig2, fig2_spec).values
+        assert int(grid.sum()) == 58
+        assert np.array_equal(scan_thermo_standard(*fig2, 401), np.diagonal(grid))
+        _assert_bits(spec.axis1(), np.linspace(0.0, 1.0, n))
+
+
+def test_shared_arrays_hold_under_threads():
+    """Threads that scan alternating shapes, switching every microsecond, each get
+    their own shape's grid and axis."""
+    specs = [GridSpec(0.0, 1.0, 0.0, 1.0, n, n) for n in (3, 11, 31, 101)]
+    wrong = []
+
+    def work(k):
+        for r in range(150):
+            spec = specs[(k + r) % len(specs)]
+            n = spec.steps1
+            values = scan_thermo_feasibility(*EMPTY_FIG2, spec).values
+            if values.shape != (n, n) or values.any():
+                wrong.append(("grid", n, values.shape))
+            if spec.axis1().tobytes() != np.linspace(0.0, 1.0, n).tobytes():
+                wrong.append(("axis", n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+EQUAL_SPECS_OF_OTHER_AXES = {  # pairs of equal GridSpecs whose linspaces differ
+    "sign of zero": (GridSpec(-1.0, -0.0, -1.0, -0.0, 3, 3), GridSpec(-1.0, 0.0, -1.0, 0.0, 3, 3)),
+    "float32": (
+        GridSpec(np.float32(0.0), np.float32(0.5), np.float32(0.0), np.float32(0.5), 3, 3),
+        GridSpec(0.0, 0.5, 0.0, 0.5, 3, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize(
+    "specs", EQUAL_SPECS_OF_OTHER_AXES.values(), ids=EQUAL_SPECS_OF_OTHER_AXES.keys()
+)
+def test_equal_specs_keep_their_own_axis(specs, first):
+    """GridSpec(-1.0, -0.0, ...) equals GridSpec(-1.0, 0.0, ...) but its axis ends in -0.0,
+    and float32 bounds make a float32 axis, whichever spec asks first."""
+    assert specs[0] == specs[1]
+    for spec in (specs[first], specs[1 - first], specs[first]):
+        _assert_bits(spec.axis1(), np.linspace(spec.lo1, spec.hi1, 3))
 
 
 THERMO_CYCLE = Cycle((make_prob_vec(THERMO_C1), make_prob_vec(THERMO_C2)))

@@ -773,6 +773,29 @@ def test_end_slope_pruning_is_sound():
     }
 
 
+# p and q of full support on three equal levels: their least ratios to the Gibbs state
+# are 39 and 18 CURVE_TOL, and q's largest lies about 4 CURVE_TOL above p's
+R3_P = (0.5, 0.5 - 1.3e-9, 1.3e-9)
+R3_Q = (0.5 + 1.3e-10, 0.5 - 7.3e-10, 6e-10)
+R3_CASES = {  # catalyst levels and an axis of one end point and one inside point
+    "c=0": ((0.0, -1.0), GridSpec(0.0, 0.95, 0.0, 0.95, 2, 2)),
+    "c=1": ((0.0, 1.0), GridSpec(0.05, 1.0, 0.05, 1.0, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("levels_c, spec", R3_CASES.values(), ids=R3_CASES.keys())
+def test_r3_takes_sigma_from_the_point_of_larger_support(levels_c, spec):
+    """R3 bounds σ of the point of larger support X. On these axes R1 fails the inside
+    point's own cell and R2 the end point's, whose σ is its α; the mixed cell passes R1,
+    and R3 with the inside point's σ, 0.05/0.73. Were R3 to take the end point's σ,
+    1/0.73, the rules would prove the grid empty. The kernel finds it empty too, so
+    only the rules' verdict tells the two apart."""
+    tally = dict.fromkeys(("exact", "band", "proven", "empty"), 0)
+    system = (R3_P, R3_Q, (0.0, 0.0, 0.0), levels_c, 1.0)
+    _check_system(np.random.default_rng(29), system, spec, np.arange(2), tally)
+    assert tally == {"exact": 1, "band": 0, "proven": 0, "empty": 1}
+
+
 @pytest.mark.parametrize("steps, draws", [(101, 300), (1001, 20)])
 def test_thermal_scan_equals_step_matrix_and_transpose(monkeypatch, steps, draws):
     """The scan grid is M & M.T; its cells that have a 4-neighbour of the other
