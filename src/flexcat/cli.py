@@ -62,7 +62,9 @@ if TYPE_CHECKING:
 
     from .search import GridSpec, LandscapeGrid
 
-INSTANCE_KEYS = {"x", "y", "levels_s", "levels_c", "beta", "cycle"}
+# The instance keys, each with its nesting depth: beta is a float, the vectors
+# and levels are float lists, and cycle is a list of float lists.
+_DEPTH = {"beta": 0, "x": 1, "y": 1, "levels_s": 1, "levels_c": 1, "cycle": 2}
 
 # Embedded demonstration instances so `reproduce` runs without input files.
 DEMO_X4 = (0.5789, 0.2691, 0.0872, 0.0648)
@@ -129,15 +131,10 @@ def _load_instance(path: str) -> dict:
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{path} must hold a JSON object")
-    unknown = set(data) - INSTANCE_KEYS
+    unknown = set(data) - _DEPTH.keys()
     if unknown:
         raise CliError(f"unknown instance keys: {sorted(unknown)}")
     return data
-
-
-# Nesting depth of each instance key: beta is a float, the vectors and
-# levels are float lists, and cycle is a list of float lists.
-_DEPTH = {"beta": 0, "x": 1, "y": 1, "levels_s": 1, "levels_c": 1, "cycle": 2}
 
 
 def _file_value(name: str, raw: object, depth: int):

@@ -600,7 +600,8 @@ class ConjectureCandidate:
 class ConjectureReport:
     """Summary of a random-instance search for flexible-only transformations.
 
-    standard_by_refinement_trials is 0 by the k=2 witness theorem; kept for the report format.
+    k, the catalyst dimension, is always 2, and standard_by_refinement_trials is 0
+    by the k=2 witness theorem; both are kept for the report format.
     """
 
     trials: int
@@ -644,7 +645,6 @@ def conjecture_search(
     seed: int,
     d: int = 4,
     grid_resolution: float = 0.005,
-    k: int = 2,
     n: int = 2,
 ) -> ConjectureReport:
     """Search random incomparable pairs for flexible-only transformations.
@@ -657,8 +657,6 @@ def conjecture_search(
     mixed state of a feasible cycle, a grid point, is a standard catalyst,
     so candidates arise only from float noise or a counterexample.
     """
-    if k != 2:
-        raise WrongDimension("only 2-dimensional catalyst grids are implemented")
     if d < 3:
         raise WrongDimension("incomparable pairs need dimension >= 3")
     cs = _weight_axis(grid_resolution)
@@ -699,7 +697,7 @@ def conjecture_search(
         trials=trials,
         seed=seed,
         d=d,
-        k=k,
+        k=2,
         n=n,
         resolution=grid_resolution,
         raw_pairs_drawn=raw_pairs,

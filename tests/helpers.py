@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -74,35 +75,38 @@ def mix_down(rng: np.random.Generator, v: SchmidtVec, parts: int = 3) -> Schmidt
 
 
 # ---------------------------------------------------------------------------
-# independent oracles
+# independent oracles, and the cells the differential harnesses check
 # ---------------------------------------------------------------------------
-
-
-def oracle_majorized(x_vals, y_vals, tol: float = 1e-12) -> bool:
-    """Brute-force prefix-sum comparison, independent of the library path."""
-    xs = sorted(x_vals, reverse=True)
-    ys = sorted(y_vals, reverse=True)
-    d = max(len(xs), len(ys))
-    xs += [0.0] * (d - len(xs))
-    ys += [0.0] * (d - len(ys))
-    for k in range(1, d):
-        if math.fsum(xs[:k]) > math.fsum(ys[:k]) + tol:
-            return False
-    return True
-
-
-def oracle_standard_catalysis(x_vals, y_vals, c_vals) -> bool:
-    """Catalysis check via explicit nested-loop tensor products."""
-    xt = [a * b for a in x_vals for b in c_vals]
-    yt = [a * b for a in y_vals for b in c_vals]
-    return oracle_majorized(xt, yt)
 
 
 def _common_ints(vals) -> list[int]:
     """vals exactly, as integers over one common denominator."""
-    fr = [v if type(v) is int else Fraction(v) for v in vals]  # exact for floats too
-    den = math.lcm(*(f.denominator for f in fr))
-    return [f.numerator * (den // f.denominator) for f in fr]
+    ratios = [v.as_integer_ratio() for v in vals]  # exact for ints, floats and Fractions
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios]
+
+
+def _exact_sides(x_vals, y_vals) -> tuple[list[int], list[int], int]:
+    """x and y exactly, as integers over one common denominator, each sorted
+    non-increasingly and zero-padded to the longer; and that denominator."""
+    *ints, den = _common_ints([*x_vals, *y_vals, 1])
+    n, d = len(x_vals), max(len(x_vals), len(y_vals))
+    xs, ys = (sorted(v, reverse=True) + [0] * (d - len(v)) for v in (ints[:n], ints[n:]))
+    return xs, ys, den
+
+
+def exact_prefix_margin(x_vals, y_vals) -> Fraction:
+    """min over k < d of y's k-th prefix sum less x's, exactly: x ≺ y iff it is >= 0.
+    The last prefix, the full sums, is left out as is_majorized_by leaves it."""
+    xs, ys, den = _exact_sides(x_vals, y_vals)
+    return Fraction(min(islice(accumulate(b - a for a, b in zip(xs, ys)), len(xs) - 1)), den)
+
+
+def exact_vidal(x_vals, y_vals) -> Fraction:
+    """min(1, E_l(x)/E_l(y) over each l of a non-empty target tail E_l(y)), exactly."""
+    xs, ys, _ = _exact_sides(x_vals, y_vals)  # the denominator cancels in each ratio
+    tails = zip(accumulate(reversed(xs)), accumulate(reversed(ys)))
+    return min([Fraction(1)] + [Fraction(sx, sy) for sx, sy in tails if sy])
 
 
 def _exact_lorenz(p: list[int], g: list[int]) -> list[tuple[int, int]]:
@@ -150,6 +154,26 @@ def exact_thermo_cycle_margin(p_vals, q_vals, g_s, g_c, states) -> Fraction:
     g = tensor(g_s, g_c)
     steps = zip(cs, cs[1:] + cs[:1])
     return min(exact_thermo_margin(tensor(p, c), tensor(q, c_next), g) for c, c_next in steps)
+
+
+def boundary(m: np.ndarray) -> np.ndarray:
+    """Cells of the bool matrix m that have a 4-neighbour of the other verdict."""
+    edge = np.zeros_like(m)
+    rows, cols = m[1:] != m[:-1], m[:, 1:] != m[:, :-1]
+    edge[1:] |= rows
+    edge[:-1] |= rows
+    edge[:, 1:] |= cols
+    edge[:, :-1] |= cols
+    return edge
+
+
+def checked_cells(rng: np.random.Generator, m: np.ndarray, full: int, sampled: int) -> np.ndarray:
+    """The cells (i, j) of m that a harness compares: all of them up to `full` rows
+    and columns, else up to `sampled` of m's boundary cells and as many seeded ones."""
+    if max(m.shape) <= full:
+        return np.argwhere(np.ones_like(m))
+    edge = np.argwhere(boundary(m))
+    return np.r_[edge[rng.permutation(len(edge))[:sampled]], rng.integers(m.shape, size=(sampled, 2))]
 
 
 # ---------------------------------------------------------------------------

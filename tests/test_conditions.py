@@ -35,8 +35,6 @@ from helpers import (
     Y_DEMO4,
     discover_feasible_cycles,
     schmidt,
-    suite_conditions_soundness,
-    suite_d3_no_go,
     suite_k2_witness,
 )
 
@@ -232,15 +230,6 @@ def test_adjacent_bound_counterexample_reproduction():
     assert not adjacent_ratio_bound_ok(cycle.states[1], y, report)
 
 
-def test_conditions_soundness_on_discovered_cycles():
-    cycles = discover_feasible_cycles(seed=900, want=1000)
-    suite_conditions_soundness(cycles)
-
-
 def test_k2_witness_on_discovered_cycles():
     cycles = discover_feasible_cycles(seed=901, want=500)
     suite_k2_witness(cycles)
-
-
-def test_d3_gridsearch_finds_no_cycles():
-    suite_d3_no_go(500)

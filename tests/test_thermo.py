@@ -51,10 +51,11 @@ from helpers import (
     THERMO_C2,
     THERMO_P,
     THERMO_Q,
+    boundary,
+    checked_cells,
     exact_thermo_cycle_margin,
     exact_thermo_margin,
     random_prob,
-    suite_uniform_gamma_thermo,
 )
 
 
@@ -312,10 +313,6 @@ def test_thermo_flexible_dimension_checks():
         thermo_flexible_ok(make_prob_vec([0.5, 0.5]), q, gs, Cycle((gc,)), gc)
 
 
-def test_uniform_gamma_reduces_to_reversed_majorization():
-    suite_uniform_gamma_thermo(500)
-
-
 def test_gibbs_tensor_matches_summed_levels():
     gs = gibbs_vector([0, 1, 2], 1.0)
     gc = gibbs_vector([0, 1], 1.0)
@@ -556,17 +553,6 @@ FULL_PAIRS = 201  # up to this many rows a side, M is compared with the paired k
 SAMPLED_PAIRS = 2000  # above it, up to this many of M's boundary cells and as many seeded ones
 
 
-def _boundary(m: np.ndarray) -> np.ndarray:
-    """Cells of the bool matrix m that have a 4-neighbour of the other verdict."""
-    edge = np.zeros_like(m)
-    rows, cols = m[1:] != m[:-1], m[:, 1:] != m[:, :-1]
-    edge[1:] |= rows
-    edge[:-1] |= rows
-    edge[:, 1:] |= cols
-    edge[:, :-1] |= cols
-    return edge
-
-
 def _check_kernels(rng, curves) -> np.ndarray:
     """M = dominance_matrix(*curves), checked against dominance_diagonal and returned.
 
@@ -575,12 +561,7 @@ def _check_kernels(rng, curves) -> np.ndarray:
     """
     xa, ya, xb, yb = curves
     m = dominance_matrix(*curves)
-    if max(m.shape) <= FULL_PAIRS:
-        i, j = np.indices(m.shape).reshape(2, -1)
-    else:
-        edge = np.argwhere(_boundary(m))
-        edge = edge[rng.permutation(len(edge))[:SAMPLED_PAIRS]]
-        i, j = np.r_[edge, rng.integers(m.shape, size=(SAMPLED_PAIRS, 2))].T
+    i, j = checked_cells(rng, m, FULL_PAIRS, SAMPLED_PAIRS).T
     assert np.array_equal(m[i, j], dominance_diagonal(xa[i], ya[i], xb[j], yb[j]))
     pts = np.unique(xb, axis=0)
     rows = rng.permutation(len(xa))[:FULL_PAIRS]
@@ -612,9 +593,9 @@ def _check_system(rng, system, spec, order, tally, every_edge=False):
     tally["proven"] += proven
     tally["empty"] += not grid.any()
     if every_edge:
-        picks = np.argwhere(grid | _boundary(grid))
+        picks = np.argwhere(grid | boundary(grid))
     else:
-        edge = np.argwhere(_boundary(grid))
+        edge = np.argwhere(boundary(grid))
         picks = np.r_[edge[rng.permutation(len(edge))[:1]], rng.integers(len(cs), size=(1, 2))]
     gs, gc = GibbsVec(gamma_s), GibbsVec(gamma_c)
     for i, j in picks.tolist():
@@ -813,7 +794,7 @@ def test_thermal_scan_equals_step_matrix_and_transpose(monkeypatch, steps, draws
         xa, ya, xb, yb = curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
         step = kernel(*curves)
         want = step & step.T
-        i, j = np.argwhere(_boundary(want)).T
+        i, j = np.argwhere(boundary(want)).T
         paired = dominance_diagonal(xa[i], ya[i], xb[j], yb[j])
         assert np.array_equal(want[i, j], paired & dominance_diagonal(xa[j], ya[j], xb[i], yb[i]))
         built.clear()
@@ -1010,7 +991,7 @@ def test_fig2_example_cells_agree_with_exact_margins():
     system = (THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA)
     rng = np.random.default_rng(30)
     _, grid = _check_system(rng, system, spec, np.arange(401), tally, every_edge=True)
-    assert (grid.sum(), (_boundary(grid) & ~grid).sum()) == (58, 44)
+    assert (grid.sum(), (boundary(grid) & ~grid).sum()) == (58, 44)
     assert tally == {"exact": 102, "band": 0, "proven": 0, "empty": 0}
 
 
