@@ -269,73 +269,64 @@ def _write_landscape_csv(grid: LandscapeGrid, out) -> None:
     """Write the grid to the binary file out as `c1,c2,value` rows of ASCII
     bytes, in row-major order, 6 decimals.
 
-    Each axis point and each distinct value is formatted once by _fixed6,
-    as a fixed-width bytes field padded with NUL. Grid rows are assembled in
-    blocks, in one reused (rows, n, 3) array of fields of about
+    Each axis point is formatted once by _fixed6, and each cell by the block
+    that holds it, as fixed-width bytes fields padded with NUL. Grid rows are
+    assembled in blocks, in one reused (rows, n, 3) array of fields of about
     _CSV_BLOCK_BYTES (at least one row), and each block is written at once
     with the padding dropped, so fields of unequal width come out right.
-    When every field fills its width (the usual case: all axis points and
-    values in [0, 10), none negative), nothing is padded and each block's
-    own buffer is written, with no copy.
-    The axis texts differ only in a span of byte columns (see _span), and so
-    do the value texts (1 byte for a feasibility grid: 0.000000 and
-    1.000000; none when the grid has one value). The other bytes are the
-    same in every grid row: the block's first row is built and copied into
-    its other rows once per export. Each block fills only the two spans, each
-    through a contiguous (rows, n) stage that is then copied into the block:
-    numpy fills the stage and copies it into the strided block faster than
-    it fills the block directly. The c1 stage is a broadcast of each row's
-    span bytes; the value stage takes each cell's from a table with one item
-    per distinct value.
-    Values are told apart by their bit pattern, read as unsigned ints of the
-    cells' own width (8 bytes for a float64 grid, 1 for a bool one), so -0.0
-    keeps its own text ("-0.000000") instead of merging with 0.0, and a bool
-    cell prints as 0.000000 or 1.000000. A float grid's distinct patterns
-    come from a sort and a neighbour mask, not from numpy's unique, whose
-    hash path is about ten times slower on a large grid, and each cell's is
-    found by binary search. A bool grid's are the values from its min to its
-    max, and when it holds both, a cell's span byte is "0" plus its pattern.
+    Every field has the width of the grid's widest text. Only a value outside
+    [0, 1] or with its sign bit set (-0.0, NaN, inf) can have a text that is
+    not 9 bytes, so only those are formatted before the first block, to find
+    that width; each block pads its texts to it, so no wider text of an
+    earlier block leaves bytes behind. When every field fills its width (the
+    usual case: all axis points and values in [0, 10), none negative),
+    nothing is padded and each block's own buffer is written, with no copy.
+    The axis texts differ only in a span of byte columns (see _span). The
+    other axis bytes are the same in every grid row: the block's first row is
+    built and copied into its other rows once per export. Each block fills
+    the c1 span through a contiguous (rows, n) stage, a broadcast of each
+    row's span bytes, that is then copied into the block: numpy fills the
+    stage and copies it into the strided block faster than it fills the
+    block directly. A bool cell prints as 0.000000 or 1.000000: the first
+    byte of its value field is "0" plus the cell, written into the block
+    unless the grid holds one value.
     """
     import numpy as np
 
     vals = grid.values
-    bits = vals.view(f"u{vals.itemsize}")
-    if vals.dtype == bool:  # numpy sorts uint8 about 15 times slower than uint64
-        distinct = np.arange(bits.min(), bits.max() + 1, dtype=bits.dtype)
+    if vals.dtype == bool:
+        lo, hi = vals.min(), vals.max()
+        widths = {9}
     else:
-        ordered = np.sort(bits, axis=None)
-        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        del ordered  # 8 bytes a cell, not needed past this point
+        wide = vals[np.signbit(vals) | ~(vals <= 1.0)].tolist()  # NaN fails the bound
+        widths = {len(f"{v:.6f}\n") for v in wide}
+        if len(wide) < vals.size:  # the other values' texts are 9 bytes
+            widths.add(9)
     axis = _fixed6(grid.spec.axis1(), b",")
-    text = _fixed6(distinct.view(vals.dtype).astype(float, copy=False), b"\n")
-    width = max(axis.itemsize, text.itemsize)
-    axis, text = (
-        f.astype(f"S{width}", copy=False).view(np.uint8).reshape(len(f), width) for f in (axis, text)
-    )
-    padded = not (axis[:, -1].all() and text[:, -1].all())  # else every field fills its width
+    width = max(axis.itemsize, *widths)
+    axis = axis.astype(f"S{width}", copy=False).view(np.uint8).reshape(-1, width)
+    padded = not axis[:, -1].all() or min(widths) < width  # else every field fills its width
     n = len(axis)
     rows = max(1, min(n, _CSV_BLOCK_BYTES // (3 * n * width)))
-    cells = np.empty((rows, n, 3, width), dtype=np.uint8)
-    cells[0, :, 0], cells[0, :, 1], cells[0, :, 2] = axis[0], axis, text[0]  # one axis for c1 and c2
-    cells[1:] = cells[0]  # the bytes outside the spans are the same in every grid row
-    (c1_cols, c1_span), (value_cols, value_span) = _span(axis), _span(text)
+    cells = np.zeros((rows, n, 3, width), dtype=np.uint8)
+    cells[0, :, 0], cells[0, :, 1] = axis[0], axis  # one axis for c1 and c2
+    if vals.dtype == bool:
+        cells[0, :, 2, :9] = np.frombuffer(b"%d.000000\n" % lo, dtype=np.uint8)
+    cells[1:] = cells[0]  # the bytes outside the c1 span are the same in every grid row
+    c1_cols, c1_span = _span(axis)
     c1_block = cells[:, :, 0, c1_cols].view(c1_span)[:, :, 0]
-    value_block = cells[:, :, 2, value_cols].view(value_span)[:, :, 0]
-    c1_stage, value_stage = np.empty((rows, n), dtype=c1_span), np.empty((rows, n), dtype=value_span)
+    c1_stage = np.empty((rows, n), dtype=c1_span)
     c1_table = axis[:, c1_cols].view(c1_span).ravel()  # one item a text
-    value_table = text[:, value_cols].view(value_span).ravel()
     out.write(b"c1,c2,value\n")
     for start in range(0, n, rows):
         m = min(rows, n - start)  # the last block may be partial
         c1_stage[:m] = c1_table[start : start + m, None]
         c1_block[:m] = c1_stage[:m]
-        if len(text) > 1:
-            cell_bits = bits[start : start + m]
-            if vals.dtype == bool:  # the span of 0.000000 and 1.000000 is "0" plus the pattern
-                np.add(cell_bits, ord("0"), out=value_stage[:m].view(np.uint8))
-            else:  # mode "raise" would buffer out
-                value_table.take(np.searchsorted(distinct, cell_bits), out=value_stage[:m], mode="clip")
-            value_block[:m] = value_stage[:m]
+        if vals.dtype != bool:
+            text = _fixed6(vals[start : start + m].ravel(), b"\n").astype(f"S{width}", copy=False)
+            cells[:m, :, 2] = text.view(np.uint8).reshape(m, n, width)
+        elif hi > lo:
+            np.add(vals[start : start + m].view(np.uint8), ord("0"), out=cells[:m, :, 2, 0])
         block = cells[:m]
         out.write(block.tobytes().replace(b"\0", b"") if padded else block)
 

@@ -43,10 +43,11 @@ class ViolationReport(_Frozen):
 
 
 def _padded(x: SchmidtVec, y: SchmidtVec) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    d = max(x.dim, y.dim)
-    vx = x.values + (0.0,) * (d - x.dim)
-    vy = y.values + (0.0,) * (d - y.dim)
-    return vx, vy
+    dx, dy = x.dim, y.dim
+    if dx == dy:
+        return x.values, y.values
+    d = max(dx, dy)
+    return x.values + (0.0,) * (d - dx), y.values + (0.0,) * (d - dy)
 
 
 def is_majorized_by(x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float]) -> bool:

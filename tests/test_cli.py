@@ -247,6 +247,12 @@ def _degenerate_fig2_grid(steps: int) -> LandscapeGrid:
     )
 
 
+def _last_block_wide(value: float) -> types.SimpleNamespace:
+    """Float cells whose only text that is not 9 bytes is the last cell's."""
+    cells = [[0.25, 0.5, 0.75], [1.0, 0.0, 0.125], [0.5, 0.375, value]]
+    return _float_cells(GridSpec(0, 0.5, 0, 0.5, 3, 3), cells)
+
+
 def _bool_grid(steps: int, fill: bool | None) -> LandscapeGrid:
     """A feasibility grid of one value, or random and not symmetric when fill is None."""
     if fill is None:
@@ -314,19 +320,20 @@ def _tie_values(count: int) -> np.ndarray:
         (lambda: _bool_grid(9, True), None),
         # not symmetric, in blocks of 2, 2 and 1 rows of 1-byte cells
         (lambda: _bool_grid(5, None), 2 * 27 * 5),
-        # The value texts differ only in the span of byte columns that each block fills.
-        # one distinct value: the span is empty
+        # Value texts that share most of their bytes: each block copies whole value fields,
+        # so none of the shared bytes may come from another cell's text.
+        # one value in every cell
         (lambda: LandscapeGrid(GridSpec(0, 1, 0, 1, 3, 3), np.full((3, 3), 0.3), kind="probability"),
          None),
         # "0.250000" and "0.350000" differ in one interior byte
         (lambda: _float_cells(GridSpec(0, 1, 0, 1, 3, 3), [[0.25, 0.35, 0.25], [0.35] * 3, [0.25] * 3]),
          None),
-        # texts differing in the first and last digit, with constant bytes between
+        # texts differing in the first and last digit, with equal bytes between
         (lambda: _float_cells(GridSpec(0, 1, 0, 1, 2, 2), [[1.000001, 2.000002], [2.000002, 1.000001]]),
          None),
-        # a 3-byte span, widened to 4: a span one byte short would not widen back over its end
+        # texts differing in three bytes with an equal one inside
         (lambda: _float_cells(GridSpec(0, 1, 0, 1, 2, 2), [[0.205, 0.306], [0.306, 0.306]]), None),
-        # padded: "1.000000\n" ends one byte short of "10.000000\n", so a NUL varies
+        # padded: "1.000000\n" is one byte short of "10.000000\n" and ends in a NUL
         (lambda: _float_cells(GridSpec(0, 0.5, 0, 0.5, 2, 2), [[1.0, 10.0], [10.0, 1.0]]), None),
         # both values in the first block of 2 rows, and only False in the blocks after it
         (lambda: LandscapeGrid(GridSpec(0, 1, 0, 1, 5, 5), np.arange(25).reshape(5, 5) == 1,
@@ -334,11 +341,28 @@ def _tie_values(count: int) -> np.ndarray:
         # f-string texts of values near a .5 tie among integer-formatted ones, in blocks of 3 rows
         (lambda: LandscapeGrid(GridSpec(0, 1, 0, 1, 16, 16), _tie_values(64).reshape(16, 16),
                                kind="probability"), 3 * 27 * 16),
+        # one row a block, the only text that is not 9 bytes in the last: fields sized and
+        # the padding found from an earlier block would cut "-0.000000\n" and "12.500000\n"
+        # and keep the NULs after "nan\n"
+        (lambda: _last_block_wide(-0.0), 1),
+        (lambda: _last_block_wide(math.nan), 1),
+        (lambda: _last_block_wide(12.5), 1),
+        # a 10-byte text only in the first block: each later block's 9-byte texts are padded
+        # with NUL, so no byte of the wider text is left behind
+        (lambda: _float_cells(GridSpec(0, 0.5, 0, 0.5, 3, 3), [[12.5, 0.25, 0.5], [0.75, 1.0, 0], [0.5] * 3]),
+         1),
+        # both values under 10-byte axis fields ("-1.000000," to "-0.000000,"): the 9-byte
+        # value template is padded with NUL, in blocks of 2, 2 and 1 rows
+        (lambda: LandscapeGrid(GridSpec(-1.0, -0.0, -1.0, -0.0, 5, 5),
+                               np.random.default_rng(5).random((5, 5)) < 0.5, kind="feasibility"),
+         2 * 30 * 5),
     ],
     ids=["fig1-201", "fig1-range", "fig2-401", "fig2-1001", "partial-last-block", "row-over-budget",
          "signed-zeros", "wide-values", "all-distinct", "axis-2", "bool-all-false", "bool-all-true",
          "bool-asymmetric", "span-empty", "span-interior-byte", "span-first-last-digit",
-         "span-three-bytes", "span-padded-nul", "bool-first-block-only", "ties"],
+         "span-three-bytes", "span-padded-nul", "bool-first-block-only", "ties",
+         "last-block-negative-zero", "last-block-nan", "last-block-wide", "first-block-wide",
+         "bool-signed-zero-axis"],
 )
 def test_landscape_csv_matches_cell_loop(make_grid, block_bytes, monkeypatch):
     if block_bytes is not None:
