@@ -94,15 +94,27 @@ def _fmt_bool(b: bool) -> str:
     return "true" if b else "false"
 
 
+def _fields(text: str, sep: str, what: str) -> list[str]:
+    """text split at sep: none if every field is blank, else an error if any is."""
+    parts = text.split(sep)
+    blank = sum(not part.strip() for part in parts)
+    if blank == len(parts):
+        return []
+    if blank:
+        raise CliError(f"empty field in {what}: {text!r}")
+    return parts
+
+
 def _parse_floats(text: str, what: str) -> list[float]:
+    parts = _fields(text, ",", what)
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        return [float(part) for part in parts]
     except ValueError as exc:
         raise CliError(f"cannot parse {what}: {text!r}") from exc
 
 
 def _parse_cycle(text: str) -> list[list[float]]:
-    states = [s for s in text.split(";") if s.strip() != ""]
+    states = _fields(text, ";", "cycle")
     if not states:
         raise CliError("cycle is empty")
     return [_parse_floats(s, "cycle state") for s in states]

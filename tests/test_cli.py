@@ -1122,6 +1122,10 @@ def test_negative_beta_exits_one(argv, capsys):
         ["best-catalyst", "--standard", "--x", DEMO_X, "--y", DEMO_Y, "--resolution", "5e-324"],
         ["conjecture", "--trials", "1", "--resolution", "5e-324"],  # 0.5 / 5e-324 is inf
         ["check-flex", "--x", DEMO_X, "--y", DEMO_Y, "--cycle", ";"],
+        # an empty field among others, a single trailing one included
+        ["vidal", "--x", "0.5,,0.5", "--y", "0.5,0.5"],
+        ["vidal", "--x", "0.5,0.5,", "--y", "0.5,0.5"],
+        ["check-flex", "--x", DEMO_X, "--y", DEMO_Y, "--cycle", "0.8,0.2;;0.6,0.4"],
         ["scan-fig2", *FIG2, "--grid", "3", "--out", "same.out", "--pgm", "same.out"],
     ],
 )
@@ -1221,14 +1225,15 @@ def test_malformed_instance_file_exits_one(blob, message, tmp_path, monkeypatch,
 # Pools for the argv fuzz below, each a (valid, invalid) pair: invalid values
 # overflow, are non-finite, empty, malformed or of the wrong dimension.
 # Unequal dimensions are valid for the entanglement commands.
-_BAD_VECTORS = ["1e308,1e308", "1e308,1e-308", "nan,0.5,0.5", "0.5,0.6", "-0.1,1.1", "", "a,b"]
+_BAD_VECTORS = ["1e308,1e308", "1e308,1e-308", "nan,0.5,0.5", "0.5,0.6", "-0.1,1.1", "", "a,b", "0.5,,0.5"]
 FUZZ_POOLS = {
     "vector": (["0.5,0.3,0.2", "0.4,0.3,0.2,0.1", "0.6,0.4", DEMO_X, DEMO_Y, "0.2,0.3,0.5",
                 "1,0,0", "0.5,0.5,0", "1"], _BAD_VECTORS),
     "state": (["0.5,0.3,0.2", "0.09,0.53,0.38", "0.11,0.75,0.14", "0.2,0.3,0.5", "1,0,0", "0.6,0.3,0.1"],
               [*_BAD_VECTORS, "0.6,0.4", "0.4,0.3,0.2,0.1"]),
     "cycle": (["0.8,0.2;0.6,0.4", "0.5,0.5", "1,0;0.5,0.5", "0.7,0.2,0.1;0.6,0.3,0.1"],
-              ["0.7,0.2,0.1;0.6,0.4", "0.2,0.8", "nan,1", "1e308,1e308;0.5,0.5", ";"]),
+              ["0.7,0.2,0.1;0.6,0.4", "0.2,0.8", "nan,1", "1e308,1e308;0.5,0.5", ";",
+               "0.8,0.2;;0.6,0.4"]),
     "thermal-cycle": (["0.82,0.18;0.59,0.41", "1,0;0.5,0.5", "0.2,0.8", "0.5,0.5;0.4,0.6;0.3,0.7"],
                       ["0.7,0.2,0.1;0.6,0.4", "nan,1", "1e308,1e308;0.5,0.5", ";", "0.5,0.3,0.2"]),
     "levels-s": (["0,1,2", "0,0,0", "0,1,40", "0,2,1"],

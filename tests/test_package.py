@@ -38,11 +38,13 @@ def test_import_defers_search_and_thermo_until_first_access():
         "found['deferred'] = sorted(set(flexcat.__all__) - set(vars(flexcat)))\n"
         "found['gibbs'] = flexcat.thermo.gibbs_vector([0, 1], 0.0).values\n"
         "found['unbound'] = sorted(set(flexcat.__all__) - set(vars(flexcat)))\n"
+        "found['exact'] = 'flexcat.exact' in sys.modules\n"
     )
     assert found["loaded"] == []
     assert "best_standard" in found["deferred"] and "thermo_majorizes" in found["deferred"]
     assert found["gibbs"] == [0.5, 0.5]
     assert found["unbound"] == []  # one access binds every deferred name
+    assert found["exact"] is False  # nor does it load the exact oracles
 
 
 @pytest.mark.parametrize(
@@ -62,7 +64,7 @@ def test_scalar_command_loads_no_numpy(argv):
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         f"    found['code'] = run({argv!r})\n"
         "found['out'] = out.getvalue()\n"
-        f"found['loaded'] = sorted(set({HEAVY!r}) & set(sys.modules))\n"
+        f"found['loaded'] = sorted(set({HEAVY!r} + ['flexcat.exact']) & set(sys.modules))\n"
     )
     assert (found["code"], found["loaded"]) == (0, []), found["out"]
 
@@ -102,10 +104,21 @@ def test_array_command_still_runs_in_a_fresh_process():
         "'--grid', '3', '--json'])\n"
         "found['out'] = out.getvalue()\n"
         f"found['loaded'] = sorted(set({HEAVY!r}) & set(sys.modules))\n"
+        "found['exact'] = 'flexcat.exact' in sys.modules\n"
     )
     assert found["code"] == 0
     assert set(json.loads(found["out"])) == {"max", "steps"}
     assert found["loaded"] == sorted(HEAVY)
+    assert found["exact"] is False
+
+
+def test_exact_module_loads_no_numpy():
+    found = _fresh(
+        "import flexcat.exact\n"
+        "found['margin'] = str(flexcat.exact.prefix_margin(flexcat.make_prob_vec([0.5, 0.5]), [1, 0]))\n"
+        f"found['loaded'] = sorted(set({HEAVY!r}) & set(sys.modules))\n"
+    )
+    assert found == {"margin": "1/2", "loaded": []}
 
 
 def test_dir_lists_every_export():

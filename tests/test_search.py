@@ -41,7 +41,7 @@ from flexcat import (
     uniform,
     vidal_probability,
 )
-from flexcat import search, thermo
+from flexcat import exact, search, thermo
 from flexcat.conditions import endpoint_conditions_ok
 from flexcat.probvec import CMP_TOL
 from flexcat.search import (
@@ -66,8 +66,6 @@ from helpers import (
     Y_DEMO4,
     checked_cells,
     endpoint_kept_trials,
-    exact_prefix_margin,
-    exact_vidal,
     mix_down,
     random_sorted,
     schmidt,
@@ -816,11 +814,11 @@ def _check_steps(rng, x, y, a, b=None, spec=None, tally=None) -> np.ndarray:
     grid = scan_pflex_landscape(x, y, spec).values if spec else None
     for i, j in sorted(picks):
         case = x, y, ca[i], cb[j]
-        margin = exact_prefix_margin(tx[i].values, ty[j].values)
+        margin = exact.prefix_margin(tx[i].values, ty[j].values)
         band = -2 * CMP_TOL < margin < 0  # in the band the slack decides, so the cell is only counted
         tally["band"] += band
         assert band or mc[i][j] == (margin >= 0), (*case, margin)
-        assert abs(pc[i][j] - exact_vidal(tx[i].values, ty[j].values)) <= 1e-12, case
+        assert abs(pc[i][j] - exact.vidal_probability(tx[i].values, ty[j].values)) <= 1e-12, case
         if b is None:
             cycle = Cycle((states[ca[i]], states[ca[j]]))
             assert flexible_cycle_ok(x, y, cycle) == (mc[i][j] and mc[j][i]), case

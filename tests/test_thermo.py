@@ -30,7 +30,7 @@ from flexcat import (
     thermo_majorizes,
     uniform,
 )
-from flexcat import search
+from flexcat import exact, search
 from flexcat.errors import FlexcatError
 from flexcat.search import GridSpec, scan_thermo_feasibility
 from flexcat.thermo import (
@@ -53,8 +53,6 @@ from helpers import (
     THERMO_Q,
     boundary,
     checked_cells,
-    exact_thermo_cycle_margin,
-    exact_thermo_margin,
     random_prob,
 )
 
@@ -485,18 +483,18 @@ def test_tiny_gibbs_weight_scan_matches_exact_oracle():
     gs = gibbs_vector(TINY_LEVELS_S, 1.0).values
     gc = gibbs_vector((0.0, 1.0), 1.0).values
     cs = spec.axis1()
-    exact = np.array(
+    feasible = np.array(
         [
             [
-                exact_thermo_cycle_margin(TINY_X, TINY_Y, gs, gc, [(c1, 1.0 - c1), (c2, 1.0 - c2)])
+                exact.thermo_cycle_margin(TINY_X, TINY_Y, gs, gc, [(c1, 1.0 - c1), (c2, 1.0 - c2)])
                 >= 0
                 for c2 in cs
             ]
             for c1 in cs
         ]
     )
-    assert exact.sum() == 15
-    assert np.array_equal(grid.values == 1.0, exact)
+    assert feasible.sum() == 15
+    assert np.array_equal(grid.values == 1.0, feasible)
 
 
 def _thermal_draw(rng):
@@ -602,7 +600,7 @@ def _check_system(rng, system, spec, order, tally, every_edge=False):
         states = [(cs[i], 1.0 - cs[i]), (cs[j], 1.0 - cs[j])]
         verdict = thermo_flexible_ok(*pq, gs, Cycle((ProbVec(states[0]), ProbVec(states[1]))), gc)
         assert verdict == grid[i, j], (system, states)
-        margin = exact_thermo_cycle_margin(*pq, gamma_s, gamma_c, states)
+        margin = exact.thermo_cycle_margin(*pq, gamma_s, gamma_c, states)
         tally["exact"] += 1
         if -CURVE_TOL < margin < 0:  # in the band the slack decides, so the cell is only counted
             tally["band"] += 1
@@ -723,7 +721,7 @@ def test_end_slope_pruning_is_sound():
         if exact_checked < 150:
             i, j = rng.integers(len(cs), size=2)
             states = [(cs[i], 1.0 - cs[i]), (cs[j], 1.0 - cs[j])]
-            assert exact_thermo_cycle_margin(*pq, gamma_s, gamma_c, states) < 0
+            assert exact.thermo_cycle_margin(*pq, gamma_s, gamma_c, states) < 0
             exact_checked += 1
     assert {key[0] for key in seen} == {2, 3, 4, 5, 6}
     for field in range(1, 6):  # pruned with and without each case
@@ -985,7 +983,8 @@ def test_mutual_dominance_unordered_rows_equal_step_matrix_and_transpose():
 
 def test_fig2_example_cells_agree_with_exact_margins():
     """The paper's Fig. 2 system at 401²: each of its 58 feasible cells and of their
-    44 infeasible 4-neighbours agrees with its exact margin."""
+    44 infeasible 4-neighbours agrees with its exact margin. In exact rationals the
+    direct conversion fails and the paper's cycle, in either order, passes."""
     tally = dict.fromkeys(("exact", "band", "proven", "empty"), 0)
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 401, 401)
     system = (THERMO_P, THERMO_Q, LEVELS_S, LEVELS_C, BETA)
@@ -993,6 +992,10 @@ def test_fig2_example_cells_agree_with_exact_margins():
     _, grid = _check_system(rng, system, spec, np.arange(401), tally, every_edge=True)
     assert (grid.sum(), (boundary(grid) & ~grid).sum()) == (58, 44)
     assert tally == {"exact": 102, "band": 0, "proven": 0, "empty": 0}
+    gs, gc = gibbs_vector(LEVELS_S, BETA).values, gibbs_vector(LEVELS_C, BETA).values
+    assert exact.thermo_margin(THERMO_P, THERMO_Q, gs) < 0
+    assert exact.thermo_cycle_margin(THERMO_P, THERMO_Q, gs, gc, [THERMO_C1, THERMO_C2]) >= 0
+    assert exact.thermo_cycle_margin(THERMO_P, THERMO_Q, gs, gc, [THERMO_C2, THERMO_C1]) >= 0
 
 
 def test_least_alpha_matches_every_point_minimum():
@@ -1095,7 +1098,7 @@ def test_narrow_gibbs_weight_verdicts_match_references(d):
         pv, qv = make_prob_vec(p).values, make_prob_vec(q).values
         got = thermo_majorizes(p, q, gs)
         assert got == _ref_thermo_majorizes(pv, qv, gs.values), (p, q, levels)
-        assert _agrees_with_exact(got, exact_thermo_margin(pv, qv, gs.values)), (p, q, levels)
+        assert _agrees_with_exact(got, exact.thermo_margin(pv, qv, gs.values)), (p, q, levels)
         verdicts.add(got)
 
         k = int(rng.integers(2, 4))
@@ -1104,6 +1107,6 @@ def test_narrow_gibbs_weight_verdicts_match_references(d):
         cs = [make_prob_vec(c).values for c in states]
         got = thermo_flexible_ok(p, q, gs, Cycle(tuple(map(make_prob_vec, states))), gc)
         assert got == _ref_thermo_flexible_ok(pv, qv, gs.values, cs, gc.values), (p, q, states)
-        margin = exact_thermo_cycle_margin(pv, qv, gs.values, gc.values, cs)
+        margin = exact.thermo_cycle_margin(pv, qv, gs.values, gc.values, cs)
         assert _agrees_with_exact(got, margin), (p, q, states)
     assert verdicts == {True, False}
