@@ -8,12 +8,14 @@ x⊗c_i → y⊗c_j and x⊗c_j → y⊗c_i, entries (i, j) and (j, i) of one st
 matrix S, so a scan computes S once and combines it with S.T. Every kernel
 runs in one thread. The entanglement kernels loop over the 2d tail or
 prefix columns, updating one 2-D buffer per column; the thermal kernel is
-thermo.dominance_matrix, whose docstring describes it. A thermal 2-cycle
-scan first tries to prove its grid empty from the curves' end slopes
-(_provably_empty) and builds no curve, nor any states array, when it can;
-it then returns a view of one all-False grid that such scans share, as
-GridSpec.axis1 returns a view of one shared axis. The module keeps the last
-of each, read-only, so it holds at most one n² bool grid and one axis.
+thermo.dominance_matrix, whose docstring describes it. A thermal scan
+validates its inputs in thermo._thermal_inputs. A 2-cycle scan then tries to
+prove its grid empty from the curves' end slopes (_provably_empty, on the
+inputs' value tuples); when it can, it builds no array (of states, of p and
+q, or of the composite reference) and no curve, and returns a view
+of one all-False grid that such scans share, as GridSpec.axis1 returns a
+view of one shared axis. The module keeps the last of each, read-only, so
+it holds at most one n² bool grid and one axis.
 The rules are screened at the least slopes of each class of axis points
 (c = 0, c = 1 and the inside), found from a few axis entries; only a class
 that passes its screen is tested point by point. Every entanglement
@@ -48,16 +50,11 @@ from .probvec import (
     ProbVec,
     SchmidtVec,
     _build,
+    _check_positive,
     as_schmidt_vec,
     gibbs_vector,
 )
-from .thermo import (
-    _pair_inputs,
-    _step_curves,
-    dominance_diagonal,
-    dominance_matrix,
-    gibbs_tensor,
-)
+from .thermo import _step_curves, _thermal_inputs, dominance_diagonal, dominance_matrix
 
 
 # Read-only arrays that calls share, by name: (key, array). The module keeps one
@@ -382,24 +379,6 @@ def best_flexible(
 # ---------------------------------------------------------------------------
 
 
-def _scan_inputs(
-    p: ProbVec | Sequence[float],
-    q: ProbVec | Sequence[float],
-    levels_s: Sequence[float],
-    levels_c: Sequence[float],
-    beta: float,
-) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """pq, gamma_s, gamma_c and the composite reference of the steps p ⊗ c → q ⊗ c'.
-
-    Checks in thermo_flexible_ok's order. The states array, whose check cannot fail
-    for two catalyst levels, is left to the caller: a scan proven empty needs none.
-    """
-    if len(levels_c) != 2:
-        raise DimensionMismatch("catalyst parameterization needs exactly 2 levels")
-    pq, gs, gc = _pair_inputs(p, q, gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta))
-    return pq, gs.values, gc.values, gibbs_tensor(gs, gc).values
-
-
 def _least_alpha(inside: np.ndarray, g0: float, g1: float) -> float:
     """The least max(c/g0, (1-c)/g1) over a non-decreasing axis of points in (0, 1).
 
@@ -422,12 +401,16 @@ def _least_alpha(inside: np.ndarray, g0: float, g1: float) -> float:
 
 
 def _provably_empty(
-    pq: np.ndarray, gamma_s: tuple[float, ...], gamma_c: tuple[float, ...], cs: np.ndarray
+    pq: Sequence[tuple[float, ...]],
+    gamma_s: tuple[float, ...],
+    gamma_c: tuple[float, ...],
+    cs: np.ndarray,
 ) -> bool:
     """True when no cell of the thermal 2-cycle grid on axis cs can be feasible.
 
-    pq holds the validated p and q and cs is a non-decreasing axis in [0, 1],
-    as GridSpec.axis1 makes it; no curve is built. Cell (i, j) needs
+    pq holds p and q, and gamma_s and gamma_c the references, as the value
+    tuples of thermo._thermal_inputs; cs is a non-decreasing axis in [0, 1],
+    as GridSpec.axis1 makes it. No curve is built. Cell (i, j) needs
     A_i ≥ B_j - τ and A_j ≥ B_i - τ at the breakpoints of the B curve, where A_i
     and B_j are the Lorenz curves of p ⊗ (c_i, 1-c_i) and q ⊗ (c_j, 1-c_j)
     against gamma_s ⊗ (g0, g1) and τ = CURVE_TOL. Per axis point, let
@@ -453,8 +436,9 @@ def _provably_empty(
     A point is kept when, among the partners of some one support weight, the
     most lenient partner of each rule passes it: a superset of the points of
     feasible cells. τ gets an allowance for the few ulps by which the kernel's
-    sums and these products round; validation rejects a subnormal composite
-    weight, which would round by more.
+    sums and these products round. The scan rejects a zero w, which would
+    divide by zero here, or a subnormal one, which would round by more,
+    before it calls this (probvec._check_positive).
 
     The points fall into at most three classes, c = 0 (α = σ = 1/g1),
     c = 1 (α = σ = 1/g0) and the inside, and each rule's left side is a
@@ -469,9 +453,9 @@ def _provably_empty(
     """
     g0, g1 = gamma_c
     w = min(gamma_s) * min(g0, g1)
-    tol = CURVE_TOL + EMPTY_GRID_ULPS * (pq.shape[1] + 1) * sys.float_info.epsilon
+    p, q = pq
+    tol = CURVE_TOL + EMPTY_GRID_ULPS * (len(p) + 1) * sys.float_info.epsilon
     lim = 2 * tol / w
-    p, q = pq.tolist()
     full = min(p + q) > 0.0  # R2 and R3 need p and q of full support
     rp, rq = ([v / g for v, g in zip(vals, gamma_s)] for vals in (p, q))
     a, b, a1, b1 = max(rp), max(rq), min(rp), min(rq)
@@ -525,12 +509,16 @@ def scan_thermo_feasibility(
     """
     _check_weight_range(spec, 1.0, "makes a negative population")
     cs = spec.axis1()
-    pq, gamma_s, gamma_c, gamma = _scan_inputs(p, q, levels_s, levels_c, beta)
+    if len(levels_c) != 2:
+        raise DimensionMismatch("catalyst parameterization needs exactly 2 levels")
+    refs = gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)
+    gamma_s, gamma_c, *pq = _thermal_inputs(refs, p, q)
+    _check_positive((min(gamma_s) * min(gamma_c),))  # the composite reference's least weight
     if _provably_empty(pq, gamma_s, gamma_c, cs):
         n = len(cs)
         empty = _shared("empty", n, lambda: np.zeros((n, n), dtype=bool))
         return LandscapeGrid(spec, empty, "feasibility")
-    step = dominance_matrix(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma))
+    step = dominance_matrix(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma_s, gamma_c))
     step = step & step.T  # a new grid: ANDing in place makes numpy buffer the overlapping operand
     return LandscapeGrid(spec, step, "feasibility")
 
@@ -548,8 +536,13 @@ def scan_thermo_standard(
     Returns a boolean vector over c = linspace(0, 1, num).
     """
     cs = GridSpec(0.0, 1.0, 0.0, 1.0, num, num).axis1()  # GridSpec's rule: num >= 2
-    pq, _, _, gamma = _scan_inputs(p, q, levels_s, levels_c, beta)
-    return dominance_diagonal(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma))
+    if len(levels_c) != 2:
+        raise DimensionMismatch("catalyst parameterization needs exactly 2 levels")
+    refs = gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)
+    gamma_s, gamma_c, *pq = _thermal_inputs(refs, p, q)
+    _check_positive((min(gamma_s) * min(gamma_c),))  # the composite reference's least weight
+    states = np.stack([cs, 1.0 - cs], axis=1)
+    return dominance_diagonal(*_step_curves(pq, states, gamma_s, gamma_c))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ the dominated curve's breakpoints, interpolating on the segment that holds
 each point, with slack CURVE_TOL (each value sums up to d rounded products).
 A segment of zero width in floats (a Gibbs weight below about e^-37) never
 holds a point; a narrow one's slope, rounded by up to ulp/width, is never
-extended past its ends. Every catalysed check, thermo_flexible_ok and the
-thermal scans in search, validates p, q and both references in _pair_inputs and
-builds its step curves in _step_curves.
+extended past its ends. lorenz_curve, thermo_majorizes, thermo_flexible_ok
+and the thermal scans in search validate their references and states in
+_thermal_inputs; the catalysed ones, thermo_flexible_ok and the scans, build
+their step curves in _step_curves.
 
 The all-pairs kernel dominance_matrix makes the same comparisons in bulk;
 its docstring says how.
@@ -39,9 +40,10 @@ from .probvec import (
     Cycle,
     GibbsVec,
     ProbVec,
+    _check_positive,
     _clamped,
     _gibbs,
-    as_prob_vec,
+    _values,
     gibbs_vector,
     tensor,
 )
@@ -93,20 +95,21 @@ class LorenzCurve:
         return tuple(y for _, y in self.breakpoints)
 
 
-def _same_dim(state: ProbVec, gamma: GibbsVec) -> ProbVec:
-    """The state, once its dimension is checked against its reference."""
-    if state.dim != gamma.dim:
-        raise DimensionMismatch(f"state dim {state.dim} != reference dim {gamma.dim}")
-    return state
+def _thermal_inputs(
+    gammas: Sequence[ProbVec | Sequence[float]], *states: ProbVec | Sequence[float]
+) -> list[tuple[float, ...]]:
+    """The values of the references, then of the states, each checked in that order.
 
-
-def _breakpoints(
-    gamma: ProbVec | Sequence[float], *states: ProbVec | Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lorenz breakpoints of the states relative to gamma, validating each in turn."""
-    vg = as_gibbs_vec(gamma)
-    rows = [_same_dim(as_prob_vec(state), vg).values for state in states]
-    return lorenz_breakpoints_batch(np.array(rows), vg.values)
+    A state's dimension is checked against gammas[0], the system's reference.
+    """
+    values = [as_gibbs_vec(gamma).values for gamma in gammas]
+    dim = len(values[0])
+    for state in states:
+        vals = _values(state)
+        if len(vals) != dim:
+            raise DimensionMismatch(f"state dim {len(vals)} != reference dim {dim}")
+        values.append(vals)
+    return values
 
 
 def lorenz_curve(p: ProbVec | Sequence[float], gamma: ProbVec | Sequence[float]) -> LorenzCurve:
@@ -116,7 +119,8 @@ def lorenz_curve(p: ProbVec | Sequence[float], gamma: ProbVec | Sequence[float])
     breakpoints are the cumulative (gamma, p) masses in that order. A point
     whose x does not exceed its predecessor's in floats is dropped.
     """
-    xs, ys = (a[0].tolist() for a in _breakpoints(gamma, p))
+    g, vp = _thermal_inputs((gamma,), p)
+    xs, ys = (a[0].tolist() for a in lorenz_breakpoints_batch(np.array([vp]), g))
     points = [(x1, y1) for x0, x1, y1 in zip(xs, xs[1:], ys[1:]) if x1 > x0]
     return LorenzCurve(((0.0, 0.0), *points))
 
@@ -133,7 +137,8 @@ def thermo_majorizes(
     gamma: ProbVec | Sequence[float],
 ) -> bool:
     """True iff p thermo-majorizes q relative to gamma (p ≻_β q)."""
-    x, y = _breakpoints(gamma, p, q)
+    g, *pq = _thermal_inputs((gamma,), p, q)
+    x, y = lorenz_breakpoints_batch(np.array(pq), g)
     return bool(dominance_diagonal(x[:1], y[:1], x[1:], y[1:])[0])
 
 
@@ -152,27 +157,21 @@ def _tensor_rows(v: np.ndarray, states: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, v.shape[-1] * states.shape[-1])
 
 
-def _pair_inputs(
-    p: ProbVec | Sequence[float],
-    q: ProbVec | Sequence[float],
-    gamma_s: ProbVec | Sequence[float],
-    gamma_c: ProbVec | Sequence[float],
-) -> tuple[np.ndarray, GibbsVec, GibbsVec]:
-    """p and q as a validated (2, d) array, with the references, checked in turn from gamma_s."""
-    gs, gc = as_gibbs_vec(gamma_s), as_gibbs_vec(gamma_c)
-    vp, vq = (_same_dim(as_prob_vec(v), gs) for v in (p, q))
-    return np.array([vp.values, vq.values]), gs, gc
-
-
 def _step_curves(
-    pq: np.ndarray, states: np.ndarray, gamma: Sequence[float]
+    pq: Sequence[Sequence[float]],
+    states: np.ndarray,
+    gamma_s: Sequence[float],
+    gamma_c: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Lorenz breakpoints (xa, ya, xb, yb) of the validated steps p ⊗ src[i] → q ⊗ dst[i].
 
     pq holds p and q; states is (2, m, k), src's rows then dst's, or one
-    (m, k) array that src and dst share. All rows take one batch call.
+    (m, k) array that src and dst share. The reference is gamma_s ⊗ gamma_c,
+    the products gibbs_tensor makes; the caller has checked its least weight,
+    min(gamma_s)·min(gamma_c). All rows take one batch call.
     """
-    x, y = lorenz_breakpoints_batch(_tensor_rows(pq, states), gamma)
+    gamma = np.outer(gamma_s, gamma_c).ravel()
+    x, y = lorenz_breakpoints_batch(_tensor_rows(np.array(pq), states), gamma)
     m = len(x) // 2
     return x[:m], y[:m], x[m:], y[m:]
 
@@ -189,12 +188,13 @@ def thermo_flexible_ok(
     Catalyst states are plain distributions indexed by energy level; the
     ratio order relative to gamma_c, not the magnitude order, is what counts.
     """
-    pq, gs, gc = _pair_inputs(p, q, gamma_s, gamma_c)
+    gs, gc, *pq = _thermal_inputs((gamma_s, gamma_c), p, q)
     src = [c.values for c in cycle.states]
     states = np.array([src, src[1:] + src[:1]], dtype=float)  # (2, m, k): src's rows, then dst's
-    if states.shape[2] != gc.dim:
+    if states.shape[2] != len(gc):
         raise DimensionMismatch("cycle states and catalyst reference must share dimension")
-    xa, ya, xb, yb = _step_curves(pq, states, gibbs_tensor(gs, gc).values)
+    _check_positive((min(gs) * min(gc),))  # the composite reference's least weight
+    xa, ya, xb, yb = _step_curves(pq, states, gs, gc)
     return bool(dominance_diagonal(xa, ya, xb, yb).all())
 
 

@@ -32,13 +32,14 @@ from flexcat import (
 )
 from flexcat import exact, search
 from flexcat.errors import FlexcatError
-from flexcat.search import GridSpec, scan_thermo_feasibility
+from flexcat.search import GridSpec, scan_thermo_feasibility, scan_thermo_standard
 from flexcat.thermo import (
     CURVE_TOL,
     _abscissa_groups,
     _curve_values,
     _step_curves,
     _tensor_rows,
+    _thermal_inputs,
     dominance_diagonal,
     dominance_matrix,
     lorenz_breakpoints_batch,
@@ -497,6 +498,13 @@ def test_tiny_gibbs_weight_scan_matches_exact_oracle():
     assert np.array_equal(grid.values == 1.0, feasible)
 
 
+def _scan_values(p, q, levels_s, levels_c, beta):
+    """p and q, then gamma_s and gamma_c, as a thermal scan validates them."""
+    refs = gibbs_vector(levels_s, beta), gibbs_vector(levels_c, beta)
+    gamma_s, gamma_c, *pq = _thermal_inputs(refs, p, q)
+    return pq, gamma_s, gamma_c
+
+
 def _thermal_draw(rng):
     """A random d = 3 system as perfbench's thermal workloads draw one."""
     p, q = (rng.exponential(1.0, 3) for _ in range(2))
@@ -516,7 +524,7 @@ def test_end_slope_rules_prove_most_thermal_draws_empty():
     cs = np.linspace(0.0, 1.0, 101)
     proven = 0
     for _ in range(300):
-        pq, gamma_s, gamma_c, _ = search._scan_inputs(*_thermal_draw(rng))
+        pq, gamma_s, gamma_c = _scan_values(*_thermal_draw(rng))
         proven += search._provably_empty(pq, gamma_s, gamma_c, cs)
     assert proven >= 180
 
@@ -580,9 +588,9 @@ def _check_system(rng, system, spec, order, tally, every_edge=False):
     one seeded cell, or with every_edge each feasible cell and each 4-neighbour;
     outside the band (-CURVE_TOL, 0) a verdict is the sign of the exact margin.
     """
-    pq, gamma_s, gamma_c, gamma = search._scan_inputs(*system)
+    pq, gamma_s, gamma_c = _scan_values(*system)
     cs = spec.axis1()[order]
-    curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
+    curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma_s, gamma_c)
     m = _check_kernels(rng, curves)
     grid = m & m.T
     assert np.array_equal(scan_thermo_feasibility(*system, spec).values[np.ix_(order, order)], grid)
@@ -658,7 +666,7 @@ def _screen_draws() -> list:
     draws = []
     for _ in range(5000):
         system, spec, _, _ = _harness_draw(rng, steps=(2, 3, 11, 41))
-        draws.append((system, spec, search._scan_inputs(*system)))
+        draws.append((system, spec, _scan_values(*system)))
     return draws
 
 
@@ -684,12 +692,12 @@ def test_end_slope_screen_matches_frozen_reference():
                 _check_system(rng, system, spec, np.arange(spec.steps1), tally)
     tiny = (TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0)
     _check_system(rng, tiny, GridSpec(0.0, 1.0, 0.0, 1.0, 201, 201), np.arange(201), tally)
-    pq, gamma_s, gamma_c, _ = search._scan_inputs(*_near_tie_system(), (0.0, 0.0), 1.0)
+    pq, gamma_s, gamma_c = _scan_values(*_near_tie_system(), (0.0, 0.0), 1.0)
     assert search._provably_empty(pq, gamma_s, gamma_c, axes[0].axis1())  # decided point by point
     # pinned: a changed end-slope verdict or band share shows here
     assert tally == {"exact": 103, "band": 0, "proven": 36, "empty": 99}
     verdicts = []
-    for draw, (_, spec, (pq, gamma_s, gamma_c, _)) in enumerate(_screen_draws()):
+    for draw, (_, spec, (pq, gamma_s, gamma_c)) in enumerate(_screen_draws()):
         cs = (spec if draw % 5 else axes[draw // 5 % len(axes)]).axis1()
         verdicts.append(search._provably_empty(pq, gamma_s, gamma_c, cs))
     digest = hashlib.sha256(np.packbits(verdicts).tobytes()).hexdigest()[:16]
@@ -704,15 +712,16 @@ def test_end_slope_pruning_is_sound():
     rng = np.random.default_rng(2024)
     seen = set()
     exact_checked = 0
-    for system, spec, (pq, gamma_s, gamma_c, gamma) in _screen_draws()[:2000]:
+    for system, spec, (pq, gamma_s, gamma_c) in _screen_draws()[:2000]:
         cs = spec.axis1()
         if not search._provably_empty(pq, gamma_s, gamma_c, cs):
             continue
-        step = dominance_matrix(*_step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma))
+        curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma_s, gamma_c)
+        step = dominance_matrix(*curves)
         assert not (step & step.T).any(), (system, spec)
         seen.add((
-            pq.shape[1],
-            pq.min() > 0.0,
+            len(pq[0]),
+            min(pq[0] + pq[1]) > 0.0,
             max(system[2]) > 3.0,
             system[3] == (0.0, 0.0),
             spec.lo1 > 0.0,
@@ -788,8 +797,9 @@ def test_thermal_scan_equals_step_matrix_and_transpose(monkeypatch, steps, draws
     grids = {"empty": 0, "non-empty": 0, "proven empty": 0}
     for _ in range(draws):
         system = _thermal_draw(rng)
-        pq, _, _, gamma = search._scan_inputs(*system)
-        xa, ya, xb, yb = curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
+        pq, gamma_s, gamma_c = _scan_values(*system)
+        curves = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma_s, gamma_c)
+        xa, ya, xb, yb = curves
         step = kernel(*curves)
         want = step & step.T
         i, j = np.argwhere(boundary(want)).T
@@ -819,9 +829,9 @@ def test_curve_values_match_frozen_reference():
     seen = set()
     for _ in range(100):
         system, spec, order, _ = _harness_draw(rng)
-        pq, _, _, gamma = search._scan_inputs(*system)
+        pq, gamma_s, gamma_c = _scan_values(*system)
         cs = spec.axis1()[order]
-        xa, ya, xb, _ = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma)
+        xa, ya, xb, _ = _step_curves(pq, np.stack([cs, 1.0 - cs], axis=1), gamma_s, gamma_c)
         if rng.random() < 0.3:
             ya = np.where(rng.random(ya.shape) < 0.05, np.nan, ya)
         pts = np.unique(xb, axis=0)
@@ -951,8 +961,8 @@ def _nan_fixture():
 
 def _tiny_fixture():
     """The tiny Gibbs weight of test_tiny_gibbs_weight_scan_matches_exact_oracle."""
-    pq, _, _, gamma = search._scan_inputs(TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0)
-    return _step_curves(pq, np.stack([AXIS, 1.0 - AXIS], axis=1), gamma)
+    pq, gamma_s, gamma_c = _scan_values(TINY_X, TINY_Y, TINY_LEVELS_S, (0.0, 1.0), 1.0)
+    return _step_curves(pq, np.stack([AXIS, 1.0 - AXIS], axis=1), gamma_s, gamma_c)
 
 
 SQUARE_FIXTURES = {"band-rows": _band_fixture, "nan": _nan_fixture, "tiny-gibbs": _tiny_fixture}
@@ -1017,11 +1027,23 @@ def test_least_alpha_matches_every_point_minimum():
 
 def test_subnormal_gibbs_weight_is_rejected():
     """A subnormal weight, of the system's reference or only of the composite one,
-    rounds by more than the end-slope rules allow for, so no scan reaches them."""
+    rounds by more than the end-slope rules allow for, and a zero composite weight
+    would divide by zero in them, so neither scan reaches them."""
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11)
-    for levels_s, levels_c in (((0.0, 1.0, 720.0), (0.0, 1.0)), ((0.0, 1.0, 360.0), (0.0, 360.0))):
-        with pytest.raises(FlexcatError, match="is subnormal"):
-            scan_thermo_feasibility(TINY_X, TINY_Y, levels_s, levels_c, 1.0, spec)
+    scans = (
+        lambda *system: scan_thermo_feasibility(*system, spec),
+        lambda *system: scan_thermo_standard(*system, 11),
+    )
+    cases = (
+        ((0.0, 1.0, 720.0), (0.0, 1.0), "is subnormal"),
+        ((0.0, 1.0, 360.0), (0.0, 360.0), "is subnormal"),
+        # e^-400 is a normal float; its square, the composite weight, rounds to zero
+        ((0.0, 1.0, 400.0), (0.0, 400.0), "must be strictly positive"),
+    )
+    for levels_s, levels_c, message in cases:
+        for scan in scans:
+            with pytest.raises(FlexcatError, match=message):
+                scan(TINY_X, TINY_Y, levels_s, levels_c, 1.0)
     for gamma in (lambda: gibbs_vector((0.0, 1.0, 720.0), 1.0), lambda: (0.6, 0.4, 1e-313)):
         with pytest.raises(FlexcatError, match="is subnormal"):
             thermo_majorizes(TINY_X, TINY_X, gamma())
@@ -1029,6 +1051,48 @@ def test_subnormal_gibbs_weight_is_rejected():
     gs, gc = gibbs_vector((0.0, 1.0, 360.0), 1.0), gibbs_vector((0.0, 360.0), 1.0)
     with pytest.raises(FlexcatError, match="is subnormal"):
         gibbs_tensor(gs, gc)
+
+
+# Inputs that fail two checks at once, by name: (p, levels_s, levels_c, the axis
+# bounds or None) and the error of the check that fires first.
+PRECEDENCE_CASES = {
+    "three catalyst levels, p misdimensioned": (
+        ((0.5, 0.5), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0), None),
+        (DimensionMismatch, "catalyst parameterization needs exactly 2 levels"),
+    ),
+    "non-finite system level, p unnormalized": (
+        ((0.5, 0.6, 0.2), (0.0, math.inf, 2.0), (0.0, 1.0), None),
+        (NonFiniteEntry, "energy levels must be finite, got [0.0, inf, 2.0]"),
+    ),
+    "p misdimensioned, composite weight zero": (
+        ((0.5, 0.5), (0.0, 1.0, 400.0), (0.0, 400.0), None),
+        (DimensionMismatch, "state dim 2 != reference dim 3"),
+    ),
+    "axis above 1, p unnormalized": (
+        ((0.5, 0.6, 0.2), (0.0, 1.0, 2.0), (0.0, 1.0), (0.0, 1.5)),
+        (BadRange, "catalyst weight above 1 makes a negative population"),
+    ),
+    "axis below 0, p unnormalized": (
+        ((0.5, 0.6, 0.2), (0.0, 1.0, 2.0), (0.0, 1.0), (-0.5, 1.0)),
+        (BadRange, "catalyst weight must be non-negative"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PRECEDENCE_CASES)
+def test_thermal_scans_keep_their_error_precedence(case):
+    """Both scans raise the class and message of the check that fires first; a case
+    with an axis checks scan_thermo_feasibility, whose axis it is, alone."""
+    (p, levels_s, levels_c, axis), (error, message) = PRECEDENCE_CASES[case]
+    system = (p, (0.2, 0.3, 0.5), levels_s, levels_c, 1.0)
+    lo, hi = axis or (0.0, 1.0)
+    scans = [lambda: scan_thermo_feasibility(*system, GridSpec(lo, hi, lo, hi, 11, 11))]
+    if axis is None:
+        scans.append(lambda: scan_thermo_standard(*system, 11))
+    for scan in scans:
+        with pytest.raises(FlexcatError) as raised:
+            scan()
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 @pytest.mark.parametrize("p", [(0.6, 0.4, 0.0), (0.5, 0.5, 0.0), (0.5, 0.3, 0.2)])
