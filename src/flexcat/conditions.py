@@ -23,7 +23,7 @@ from .majorize import (
     incomparable,
     standard_catalysis_ok,
 )
-from .probvec import CMP_TOL, RATIO_TOL, Cycle, SchmidtVec, as_schmidt_vec
+from .probvec import CMP_TOL, RATIO_TOL, Cycle, SchmidtVec, _check_sorted_states, as_schmidt_vec
 
 
 def _require_positive_tails(x: SchmidtVec, y: SchmidtVec) -> None:
@@ -42,6 +42,7 @@ def boundary_ratios_ok(
     sx = as_schmidt_vec(x)
     sy = as_schmidt_vec(y)
     _require_positive_tails(sx, sy)
+    _check_sorted_states(cycle)
     top = sy.values[0] / sx.values[0]
     bottom = sy.values[-1] / sx.values[-1]
     for ci, cj in cycle.pairs():
@@ -83,6 +84,7 @@ def boundary_rigidity_holds(
         raise PreconditionUnmet("largest and smallest components must match")
     if sx.values[-1] <= 0.0 or sy.values[-1] <= 0.0:
         raise PreconditionUnmet("smallest components must be positive")
+    _check_sorted_states(cycle)
     firsts = [state.values[0] for state in cycle.states]
     lasts = [state.values[-1] for state in cycle.states]
     return (
@@ -123,12 +125,6 @@ def d3_no_go(x: SchmidtVec | Sequence[float], y: SchmidtVec | Sequence[float]) -
     return incomparable(sx, sy)
 
 
-def _largest_to_smallest_ratio(state: SchmidtVec) -> float:
-    support = state.support_size()
-    smallest = state.values[support - 1]
-    return state.values[0] / smallest
-
-
 def ratio_bound_holds(
     cycle: Cycle, y: SchmidtVec | Sequence[float], report: ViolationReport
 ) -> bool:
@@ -138,13 +134,14 @@ def ratio_bound_holds(
     if report.empty:
         raise EmptyViolationSet("no violation indices: vectors are comparable")
     sy = as_schmidt_vec(y)
+    _check_sorted_states(cycle)
     threshold = 0.0
     for l in report.indices:
         num = sy.values[l - 1]
         den = sy.values[l]
         threshold = max(threshold, num / den if den > 0.0 else math.inf)
     for state in cycle.states:
-        if _largest_to_smallest_ratio(as_schmidt_vec(state)) <= threshold - RATIO_TOL:
+        if state.values[0] / state.values[state.support_size() - 1] <= threshold - RATIO_TOL:
             return False
     return True
 

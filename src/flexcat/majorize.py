@@ -17,6 +17,7 @@ from .probvec import (
     ProbVec,
     SchmidtVec,
     _Frozen,
+    _check_sorted_states,
     as_prob_vec,
     as_schmidt_vec,
     sort_desc,
@@ -119,9 +120,7 @@ def flexible_cycle_ok(
     Cycle states must be sorted (Schmidt) vectors.
     """
     steps = _steps(x, y, cycle)  # validates x and y before the states
-    for state in cycle.states:
-        if not isinstance(state, SchmidtVec):
-            as_schmidt_vec(state)  # raises NotSorted on violation
+    _check_sorted_states(cycle)
     return all(is_majorized_by(*step) for step in steps)
 
 

@@ -327,3 +327,10 @@ class Cycle(_Frozen):
 
 def make_cycle(states: Iterable[ProbVec | Sequence[float]]) -> Cycle:
     return Cycle(tuple(as_prob_vec(s) for s in states))
+
+
+def _check_sorted_states(cycle: Cycle) -> None:
+    """Raise NotSorted unless every state of the cycle is non-increasing."""
+    for state in cycle.states:
+        if not isinstance(state, SchmidtVec):
+            _check_sorted(state.values)

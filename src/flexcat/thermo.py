@@ -72,12 +72,13 @@ class LorenzCurve:
         object.__setattr__(self, "breakpoints", bp)
         if len(bp) < 2:
             raise FlexcatError("curve needs at least two breakpoints")
-        if abs(bp[0][0]) > SUM_TOL or abs(bp[0][1]) > SUM_TOL:
+        # each check is written to fail on NaN, which every comparison rejects
+        if not (abs(bp[0][0]) <= SUM_TOL and abs(bp[0][1]) <= SUM_TOL):
             raise FlexcatError("curve must start at the origin")
-        if abs(bp[-1][0] - 1.0) > SUM_TOL or abs(bp[-1][1] - 1.0) > SUM_TOL:
+        if not (abs(bp[-1][0] - 1.0) <= SUM_TOL and abs(bp[-1][1] - 1.0) <= SUM_TOL):
             raise FlexcatError("curve must end at (1, 1)")
         for (x0, _), (x1, y1) in zip(bp, bp[1:]):
-            if x1 <= x0:
+            if not x1 > x0:
                 raise FlexcatError("breakpoint x-coordinates must strictly increase")
             if not -CMP_TOL <= y1 <= 1.0 + CMP_TOL:
                 raise FlexcatError("breakpoint heights must stay within [0, 1]")

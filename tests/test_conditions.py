@@ -9,6 +9,7 @@ from flexcat import (
     Cycle,
     EmptyViolationSet,
     NotFeasible,
+    NotSorted,
     PreconditionUnmet,
     WrongDimension,
     ZeroTail,
@@ -198,6 +199,33 @@ def test_ratio_bound_detects_flat_states():
 def test_ratio_bound_requires_violations():
     with pytest.raises(EmptyViolationSet):
         ratio_bound_holds(_alt_cycle(), schmidt(Y_ALT4), violation_indices(uniform(4), schmidt(Y_ALT4)))
+
+
+ALT = (schmidt(X_ALT4), schmidt(Y_ALT4))
+FLAT = schmidt([0.5, 0.3, 0.2])
+UNSORTED_STATES = {  # each predicate on a cycle holding a state in ascending order
+    # a passing cycle's states reversed, which passed too
+    "boundary_ratios_ok": lambda: boundary_ratios_ok(
+        *ALT, make_cycle([(0.1, 0.3, 0.6), (0.1, 0.4, 0.5)])
+    ),
+    # two states equal once sorted, which failed
+    "boundary_rigidity_holds": lambda: boundary_rigidity_holds(
+        FLAT, FLAT, make_cycle([(0.5, 0.3, 0.2), (0.5, 0.2, 0.3)])
+    ),
+    "flexible_cycle_ok": lambda: flexible_cycle_ok(
+        *ALT, make_cycle([(0.6, 0.3, 0.1), (0.1, 0.4, 0.5)])
+    ),
+    # the first state fails the bound, which returned before the second was checked
+    "ratio_bound_holds": lambda: ratio_bound_holds(
+        make_cycle([(0.34, 0.33, 0.33), (0.1, 0.3, 0.6)]), ALT[1], violation_indices(*ALT)
+    ),
+}
+
+
+@pytest.mark.parametrize("check", UNSORTED_STATES.values(), ids=UNSORTED_STATES.keys())
+def test_cycle_predicates_reject_unsorted_states(check):
+    with pytest.raises(NotSorted):
+        check()
 
 
 def test_adjacent_ratio_bound_alt_states():

@@ -56,13 +56,16 @@ from flexcat.search import (
 from flexcat.thermo import gibbs_vector
 from helpers import (
     BETA,
+    C_ALT1,
     LEVELS_C,
     LEVELS_S,
     THERMO_C1,
     THERMO_C2,
     THERMO_P,
     THERMO_Q,
+    X_ALT4,
     X_DEMO4,
+    Y_ALT4,
     Y_DEMO4,
     checked_cells,
     endpoint_kept_trials,
@@ -183,15 +186,6 @@ def test_scan_rejects_ranges_that_break_sortedness():
         scan_pflex_landscape(x, y, GridSpec(0.0, 0.7, 0.0, 0.7, 5, 5))
     with pytest.raises(BadRange, match="must be non-negative"):
         scan_pflex_landscape(x, y, GridSpec(-0.1, 0.5, -0.1, 0.5, 5, 5))
-
-
-def test_scan_symmetry_and_cell_values():
-    x = schmidt(X_DEMO4)
-    y = schmidt(Y_DEMO4)
-    spec = GridSpec(0.0, 0.5, 0.0, 0.5, 41, 41)
-    grid = scan_pflex_landscape(x, y, spec)
-    assert np.allclose(grid.values, grid.values.T, atol=1e-12)
-    _check_steps(np.random.default_rng(51), x, y, spec.axis1(), spec=spec)
 
 
 def test_scan_diagonal_dominance():
@@ -516,21 +510,6 @@ def test_each_entanglement_search_builds_its_tails_once(monkeypatch, run_search,
     assert row_calls == [calls]
 
 
-def test_unequal_dimension_scans_equal_the_scalar_api():
-    """Scans zero-pad unequal dimensions exactly as the scalar API does."""
-    rng, check = np.random.default_rng(8), np.random.default_rng(9)
-    spec = GridSpec(0.0, 0.5, 0.0, 0.5, 11, 11)
-    for _ in range(12):
-        dx, dy = rng.choice(np.arange(2, 6), 2, replace=False)
-        first, second = random_sorted(rng, int(dx)), random_sorted(rng, int(dy))
-        for x, y in ((first, second), (second, first)):
-            grid = scan_pflex_landscape(x, y, spec)
-            _check_steps(check, x, y, spec.axis1(), spec=spec)
-            # best_standard's 0.05 axis is the grid's own, so refining keeps the grid's best
-            assert best_standard(x, y, 0.05).value >= np.diagonal(grid.values).max() - 1e-12
-            assert best_flexible(x, y, spec).value >= grid.values.max() - 1e-12
-
-
 def _random_thermal_system(seed: int):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(3))
@@ -606,22 +585,6 @@ def test_thermo_standard_scan_trivial_transition_is_full():
 
 def _prefixes(x, y, cs):
     return np.cumsum(_step_rows(x, y, cs), axis=-1)
-
-
-@pytest.mark.parametrize("d", range(3, 9))
-def test_grid_kernels_equal_dense_references(d):
-    """The harness both ways on axes of 61 and 37 points, each holding c = 0, whose
-    rows have empty tails; on the first shared; and on 20 one-point axes."""
-    rng, check = np.random.default_rng(200 + d), np.random.default_rng(300 + d)
-    x = random_sorted(rng, d)
-    y = random_sorted(rng, d)
-    spec1, spec2 = (GridSpec(0.0, 0.5, 0.0, 0.5, n, n) for n in (61, 37))
-    for a, b in ((spec1.axis1(), spec2.axis1()), (spec2.axis1(), spec1.axis1())):
-        _check_steps(check, x, y, a, b)
-        _check_steps(check, y, x, a, b)
-    _check_steps(check, x, y, spec1.axis1(), spec=spec1)
-    for c in rng.uniform(0.0, 0.5, 20):
-        _check_steps(check, x, y, np.array([c]))
 
 
 def test_sampler_postcondition_and_determinism():
@@ -872,3 +835,29 @@ def test_entanglement_harness_matches_scalar_api_and_exact_margins():
     for _ in range(100):
         _check_steps(rng, *_ent_draw(rng), tally=tally)
     assert tally == {"bitwise": 14368, "exact": 445, "band": 67}
+
+
+ENT_CASES = {  # inputs _ent_draw does not draw: x, y, a catalyst c of 1 or 3 levels, grid points
+    "catalyst-dim-1": (X_ALT4, Y_ALT4, (1.0,), 11),
+    "catalyst-dim-3": (X_ALT4, Y_ALT4, C_ALT1, 11),
+    "unequal-dims": ((0.5, 0.2, 0.15, 0.1, 0.05), (0.4, 0.35, 0.25), None, 11),
+    "unequal-dims-swapped": ((0.4, 0.35, 0.25), (0.5, 0.2, 0.15, 0.1, 0.05), None, 11),
+    "demo-41": (X_DEMO4, Y_DEMO4, None, 41),
+}
+
+
+@pytest.mark.parametrize("x, y, c, points", ENT_CASES.values(), ids=ENT_CASES.keys())
+def test_entanglement_cases(x, y, c, points):
+    """Each case through the harness on a points² grid over [0, 0.5]. With a catalyst c
+    the steps are x⊗c → y⊗c, so the cell at weight 0 is standard_catalysis_ok(x, y, c).
+    The scan is symmetric, and best_standard on its axis and best_flexible on it reach
+    at least its best diagonal and best cell."""
+    x, y = schmidt(x), schmidt(y)
+    steps = (x, y) if c is None else (sort_desc(tensor(x, c)), sort_desc(tensor(y, c)))
+    spec = GridSpec(0.0, 0.5, 0.0, 0.5, points, points)
+    m = _check_steps(np.random.default_rng(51), *steps, spec.axis1(), spec=spec)
+    assert c is None or standard_catalysis_ok(x, y, c) == m[0, 0]
+    grid = scan_pflex_landscape(*steps, spec).values
+    assert np.allclose(grid, grid.T, atol=1e-12)
+    assert best_standard(*steps, 0.5 / (points - 1)).value >= np.diagonal(grid).max() - 1e-12
+    assert best_flexible(*steps, spec).value >= grid.max() - 1e-12
